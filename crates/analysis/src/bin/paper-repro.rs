@@ -13,7 +13,6 @@
 //! count, which the CI perf-smoke job verifies by diffing `NVD_JOBS=1`
 //! against `NVD_JOBS=4` runs.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use nvd_analysis::{
@@ -443,10 +442,6 @@ fn main() {
             section(title, &body, &mut md);
         }
     }
-
-    // --- summary of lag by band for the paper-vs-measured record --------------
-    let lag_by_band: BTreeMap<Severity, f64> = disclosure_study::average_lag_by_severity(&exps);
-    let _ = lag_by_band;
 
     if let Some(path) = args.experiments_md {
         std::fs::write(&path, md).expect("write experiments file");

@@ -1,26 +1,27 @@
-//! The end-to-end cleaning pipeline.
+//! The end-to-end cleaning pipeline: its options, its report types, and
+//! the batch entry point.
 //!
-//! Runs the paper's four rectifications in order — disclosure dates (§4.1),
-//! vendor/product names (§4.2), severity backport (§4.3), CWE mining
-//! (§4.4) — producing a [`CleanOutcome`]: the rectified [`Database`], a
+//! The paper's four rectifications — disclosure dates (§4.1),
+//! vendor/product names (§4.2), CWE mining (§4.4), severity backport
+//! (§4.3) — produce a [`CleanOutcome`]: the rectified [`Database`], a
 //! [`CleanReport`] with everything the case studies (§5) need, and the
 //! per-CVE [`QualityLedger`] each stage emits its typed findings into.
+//!
+//! The stages themselves live in one place,
+//! [`crate::incremental::CleanState`]. A batch clean is that pipeline's
+//! first delta: [`Cleaner`] applies the whole database to a fresh state.
 
 use std::collections::BTreeMap;
 
-use nvd_model::cwe::CweCatalog;
 use nvd_model::prelude::{CveId, Database, Date, Severity};
 use webarchive::{CrawlerSet, WebArchive};
 
-use crate::cwe_fix::{rectify_cwe, CweFixOutcome};
-use crate::disclosure::{AggregationRule, DisclosureEstimate, DisclosureEstimator};
-use crate::incremental::QuarantineLedger;
-use crate::names::{
-    find_product_candidates, find_vendor_candidates, ApplyStats, NameMapping, PatternBreakdown,
-    ProductCandidate, ProductHeuristic, Verifier,
-};
-use crate::quality::{emit_issues, QualityLedger, QualitySink};
-use crate::severity::{backport_v3, BackportOptions, BackportOutcome};
+use crate::cwe_fix::CweFixOutcome;
+use crate::disclosure::{AggregationRule, DisclosureEstimate};
+use crate::incremental::CleanState;
+use crate::names::{ApplyStats, NameMapping, PatternBreakdown, Verifier};
+use crate::quality::{QualityLedger, QualitySink};
+use crate::severity::{BackportOptions, BackportOutcome};
 
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
@@ -88,7 +89,9 @@ pub struct CleanReport {
     pub disclosure: BTreeMap<CveId, DisclosureEstimate>,
     /// Name-cleaning summary (§4.2).
     pub names: NameReport,
-    /// Severity backport outcome (§4.3); `None` when skipped.
+    /// Severity backport outcome (§4.3); `None` when disabled, or when
+    /// fewer than [`crate::severity::MIN_GROUND_TRUTH`] CVEs carry both
+    /// CVSS versions.
     pub severity: Option<BackportOutcome>,
     /// CWE rectification outcome (§4.4).
     pub cwe: CweFixOutcome,
@@ -97,8 +100,7 @@ pub struct CleanReport {
 /// Everything one cleaning pass produced: the rectified database, the
 /// report over it, and the per-CVE quality ledger the stage-detectors
 /// emitted. Returned by both [`Cleaner::clean`] and
-/// [`crate::incremental::CleanState::apply_delta`], replacing the loose
-/// `(Database, CleanReport)` tuples the two paths used to drift between.
+/// [`crate::incremental::CleanState::apply_delta`].
 #[derive(Debug, Clone)]
 pub struct CleanOutcome {
     /// The rectified database.
@@ -124,20 +126,8 @@ impl CleanReport {
     }
 }
 
-/// The product-pair acceptance rule shared by the batch pipeline and the
-/// incremental [`crate::incremental::CleanState`]: token and abbreviation
-/// pairs are reliable; edit-distance pairs need the verifier's scrutiny,
-/// which our stand-ins only provide for vendors — so accept
-/// token/abbreviation unconditionally and edit-distance pairs only when
-/// short names make typos plausible.
-pub(crate) fn confirm_product(c: &ProductCandidate) -> bool {
-    match c.heuristic {
-        ProductHeuristic::TokenEquivalent | ProductHeuristic::Abbreviation => true,
-        ProductHeuristic::EditDistance => c.a.as_str().len() >= 5 && c.b.as_str().len() >= 5,
-    }
-}
-
-/// The pipeline itself.
+/// The batch entry point: the whole database as the first delta of a
+/// fresh [`CleanState`].
 #[derive(Debug, Clone, Default)]
 pub struct Cleaner {
     options: CleanOptions,
@@ -185,80 +175,12 @@ impl Cleaner {
         verifier: &V,
         sink: &mut S,
     ) -> (Database, CleanReport) {
-        let mut cleaned = db.clone();
-
-        // §4.1 — disclosure dates (on the original references).
-        let estimator = DisclosureEstimator::new(archive)
-            .with_crawlers(self.options.crawlers.clone())
-            .with_rule(self.options.aggregation);
-        let disclosure = estimator.estimate_all(&cleaned);
-
-        // §4.2 — vendor names on the blocked matching engine (interned ids,
-        // block proposal and signal annotation fan out over minipar). Pair
-        // verification is the stand-in for the paper's manual review of
-        // every flagged pair: per-pair work with no cross-pair state, so it
-        // maps in candidate order.
-        let vendor_candidates = find_vendor_candidates(&cleaned);
-        let confirmed_flags: Vec<bool> =
-            minipar::par_map(&vendor_candidates, |c| verifier.confirm(c));
-        let confirmed: Vec<_> = vendor_candidates
-            .iter()
-            .zip(&confirmed_flags)
-            .filter(|(_, &ok)| ok)
-            .map(|(c, _)| c.clone())
-            .collect();
-        let pattern_breakdown = PatternBreakdown::tabulate(&vendor_candidates, &confirmed_flags);
-        let mut mapping = NameMapping::build_vendor(&confirmed, &cleaned);
-
-        // §4.2 — product names (under consolidated vendors, one parallel
-        // block per vendor), accepted under the shared `confirm_product`
-        // rule.
-        let product_candidates = find_product_candidates(&cleaned, &mapping);
-        let product_confirmed: Vec<_> = product_candidates
-            .iter()
-            .filter(|c| confirm_product(c))
-            .cloned()
-            .collect();
-        mapping.extend_products(&product_confirmed, &cleaned);
-
-        let vendors_before = cleaned.vendor_set().len();
-        let products_before = cleaned.product_set().len();
-        let apply_stats = mapping.apply(&mut cleaned);
-        let names = NameReport {
-            vendors_before,
-            vendors_after: cleaned.vendor_set().len(),
-            products_before,
-            products_after: cleaned.product_set().len(),
-            vendor_candidates: vendor_candidates.len(),
-            vendor_confirmed: confirmed.len(),
-            product_candidates: product_candidates.len(),
-            product_confirmed: product_confirmed.len(),
-            pattern_breakdown,
-            mapping,
-            apply_stats,
-        };
-
-        // §4.4 — CWE mining (before severity so target encoding can use
-        // recovered types).
-        let cwe = rectify_cwe(&mut cleaned, &CweCatalog::builtin());
-
-        // §4.3 — severity backport.
-        let severity = if self.options.run_backport {
-            Some(backport_v3(&cleaned, &self.options.backport))
-        } else {
-            None
-        };
-
-        let report = CleanReport {
-            disclosure,
-            names,
-            severity,
-            cwe,
-        };
-        // Quality assessment: every stage re-read as a detector, emitting
-        // typed issues serially (batch cleaning has no quarantine path).
-        emit_issues(&cleaned, &report, &QuarantineLedger::default(), sink);
-        (cleaned, report)
+        CleanState::new(self.options.clone()).apply_delta_into(
+            db.as_slice(),
+            archive,
+            verifier,
+            sink,
+        )
     }
 }
 

@@ -185,16 +185,24 @@ impl<'a> DisclosureEstimator<'a> {
     /// the date multiset, so the map is bit-identical at any thread count
     /// and to the pre-engine per-entry loops in [`legacy`].
     pub fn estimate_all(&self, db: &Database) -> BTreeMap<CveId, DisclosureEstimate> {
-        let entries: Vec<&CveEntry> = db.iter().collect();
+        self.estimate_entries(&db.iter().collect::<Vec<_>>())
+    }
+
+    /// [`DisclosureEstimator::estimate_all`] over a chosen subset of
+    /// entries (the incremental pipeline's touched CVEs).
+    pub(crate) fn estimate_entries(
+        &self,
+        entries: &[&CveEntry],
+    ) -> BTreeMap<CveId, DisclosureEstimate> {
         let total_refs: usize = entries.iter().map(|e| e.references.len()).sum();
         let mut urls: Vec<&str> = Vec::with_capacity(total_refs);
-        for e in &entries {
+        for e in entries {
             urls.extend(e.references.iter().map(|r| r.url.as_str()));
         }
         let results = self.engine().crawl_results(&urls);
         let mut items: Vec<(&CveEntry, &[CrawlResult])> = Vec::with_capacity(entries.len());
         let mut offset = 0usize;
-        for e in entries {
+        for &e in entries {
             let next = offset + e.references.len();
             items.push((e, &results[offset..next]));
             offset = next;

@@ -1,9 +1,11 @@
-//! Incremental ingestion: delta-aware cleaning with carry-over state.
+//! The cleaning pipeline: delta-aware, with carry-over state.
 //!
-//! The real NVD is a stream of dated `recent`/`modified` feeds, not the
-//! one-shot batch file [`crate::cleaner::Cleaner`] consumes. [`CleanState`]
-//! makes the pipeline pay only for what changed: it accumulates delivered
-//! entries and persists, across deltas,
+//! The real NVD is a stream of dated `recent`/`modified` feeds, and a
+//! one-shot batch file is just the first of them: [`CleanState`] is the
+//! only implementation of the cleaning stages, and
+//! [`crate::cleaner::Cleaner`] runs the whole database as one delta
+//! through a fresh state. The state makes each later delta pay only for
+//! what changed: it accumulates delivered entries and persists,
 //!
 //! - per-CVE **disclosure estimates** (§4.1) — only touched CVEs are
 //!   re-crawled, sound because per-URL crawl results are batch-invariant
@@ -13,25 +15,26 @@
 //!   untouched — and the per-vendor **product sweeps**, re-run only for
 //!   vendors whose (consolidated) product set changed;
 //! - per-CVE **mined CWE ids** (§4.4) — descriptions are scanned once per
-//!   delivered version, then replayed through the serial apply half;
-//! - per-document **text features**: an incrementally maintained [`Idf`]
-//!   over primary descriptions (document counts are order-independent, so
-//!   add/remove replay is bit-identical to a fresh corpus fit).
+//!   delivered version, then replayed through the serial apply half.
 //!
 //! The §4.3 severity backport is the one stage that stays whole-corpus:
 //! its stratified train/test split is a global function of the label
 //! population, so any touched entry can reshuffle it. It is re-run per
-//! delta when enabled (pure — it never mutates the database), and the
-//! bench axis therefore gates the pipeline with the backport off.
+//! delta when enabled (pure — it never mutates the database), and skipped
+//! while the corpus holds fewer than
+//! [`MIN_GROUND_TRUTH`](crate::severity::MIN_GROUND_TRUTH) dual-scored
+//! CVEs, so a small first delta reports `severity: None` instead of
+//! panicking.
 //!
 //! # The determinism contract
 //!
 //! Applying deltas `d1..dn` through one [`CleanState`] returns, at every
-//! step, **bit-identical** results to batch-cleaning the accumulated
-//! corpus from scratch with the same options — at any `NVD_JOBS`. The
-//! caches above never change *what* is computed, only whether a pure
-//! per-item result is recomputed; `tests/determinism.rs` enforces the
-//! contract over seeded and property-sampled delta sequences.
+//! step, **bit-identical** results to a fresh state applying the
+//! accumulated corpus as one delta (that is, to [`crate::cleaner::Cleaner`])
+//! with the same options — at any `NVD_JOBS`. The caches above never
+//! change *what* is computed, only whether a pure per-item result is
+//! recomputed; `tests/determinism.rs` enforces the contract over seeded
+//! and property-sampled delta sequences.
 //!
 //! # Transactional ingestion
 //!
@@ -73,24 +76,19 @@ use std::collections::{BTreeMap, BTreeSet};
 use nvd_model::cwe::{CweCatalog, CweId};
 use nvd_model::entry::CveEntry;
 use nvd_model::feed::{item_to_entry, parse_feed_json, FeedDocument, FeedError};
-use nvd_model::prelude::{CveId, Database, ProductName, VendorName};
-use textkit::{preprocess, Idf};
+use nvd_model::prelude::{CveId, Database, VendorName};
 use webarchive::WebArchive;
 
-use crate::cleaner::{confirm_product, CleanOptions, CleanOutcome, CleanReport, NameReport};
+use crate::cleaner::{CleanOptions, CleanOutcome, CleanReport, NameReport};
 use crate::cwe_fix::{apply_mined_cwe_ids, mine_entry_cwe_ids, CweFixOutcome};
 use crate::disclosure::{DisclosureEstimate, DisclosureEstimator};
-use crate::names::product::sweep_vendor;
 use crate::names::{
-    find_vendor_candidates_cached, NameMapping, PatternBreakdown, ProductCandidate,
-    VendorSweepCache, Verifier,
+    find_product_candidates_cached, find_vendor_candidates_cached, NameMapping, PatternBreakdown,
+    ProductCandidate, ProductHeuristic, ProductSweepCache, VendorSweepCache, Verifier,
 };
-use crate::quality::QualityLedger;
+use crate::quality::{emit_issues, QualityLedger, QualitySink};
+use crate::severity::backport::has_ground_truth;
 use crate::severity::backport_v3;
-
-/// Hashing seed for the carried text-feature state, matching the type
-/// classifier's default so the maintained IDF is directly reusable there.
-const TEXT_SEED: u64 = 0x7c1f;
 
 /// Why one feed failed to ingest as a whole. Produced by
 /// [`CleanState::ingest_json`] *before* any state mutation: an `Err`
@@ -184,32 +182,19 @@ pub struct IngestOutcome {
     pub quarantined: Vec<QuarantineRecord>,
 }
 
-/// One vendor's cached §4.2 product sweep: the consolidated product set it
-/// was computed over, plus the resulting candidates.
-#[derive(Debug, Clone)]
-struct ProductSweepEntry {
-    products: BTreeSet<ProductName>,
-    candidates: Vec<ProductCandidate>,
+/// The §4.2 product-pair acceptance rule: token and abbreviation pairs
+/// are reliable; edit-distance pairs need the verifier's scrutiny, which
+/// our stand-ins only provide for vendors — so accept token/abbreviation
+/// unconditionally and edit-distance pairs only when short names make
+/// typos plausible.
+fn confirm_product(c: &ProductCandidate) -> bool {
+    match c.heuristic {
+        ProductHeuristic::TokenEquivalent | ProductHeuristic::Abbreviation => true,
+        ProductHeuristic::EditDistance => c.a.as_str().len() >= 5 && c.b.as_str().len() >= 5,
+    }
 }
 
-/// Per-document text-feature carry-over: the preprocessed terms of each
-/// CVE's primary description and the incrementally maintained IDF over
-/// them.
-///
-/// Updates are folded lazily: `apply_delta` only records each delivered
-/// entry's primary description in `pending`, and [`CleanState::idf`]
-/// replays the pending add/remove pairs on first use — so deltas that
-/// never consult the text features don't pay for preprocessing. Document
-/// frequencies are order-independent counts, so the deferred replay is
-/// bit-identical to an eager fold (and to a fresh corpus fit).
-#[derive(Debug, Clone)]
-struct TextState {
-    idf: Idf,
-    terms: BTreeMap<CveId, Vec<String>>,
-    pending: Vec<(CveId, Option<String>)>,
-}
-
-/// Persistent cleaning state for incremental ingestion. See the module
+/// Persistent cleaning state: the one cleaning pipeline. See the module
 /// docs for the carried caches and the determinism contract.
 #[derive(Debug, Clone)]
 pub struct CleanState {
@@ -218,9 +203,8 @@ pub struct CleanState {
     database: Database,
     disclosure: BTreeMap<CveId, DisclosureEstimate>,
     vendor_cache: VendorSweepCache,
-    product_cache: BTreeMap<VendorName, ProductSweepEntry>,
+    product_cache: ProductSweepCache,
     cwe_mined: BTreeMap<CveId, Vec<CweId>>,
-    text: TextState,
     quarantine: QuarantineLedger,
 }
 
@@ -232,13 +216,8 @@ impl CleanState {
             database: Database::new(),
             disclosure: BTreeMap::new(),
             vendor_cache: VendorSweepCache::default(),
-            product_cache: BTreeMap::new(),
+            product_cache: ProductSweepCache::default(),
             cwe_mined: BTreeMap::new(),
-            text: TextState {
-                idf: Idf::new(TEXT_SEED),
-                terms: BTreeMap::new(),
-                pending: Vec::new(),
-            },
             quarantine: QuarantineLedger::default(),
         }
     }
@@ -259,40 +238,42 @@ impl CleanState {
         &self.disclosure
     }
 
-    /// The incrementally maintained IDF over primary descriptions —
-    /// bit-identical to a fresh fit over the accumulated corpus. Pending
-    /// per-delta updates are folded in on first use.
-    pub fn idf(&mut self) -> &Idf {
-        for (id, text) in std::mem::take(&mut self.text.pending) {
-            if let Some(old_terms) = self.text.terms.remove(&id) {
-                self.text.idf.remove_document(&old_terms);
-            }
-            if let Some(text) = text {
-                let terms = preprocess(&text);
-                self.text.idf.add_document(&terms);
-                self.text.terms.insert(id, terms);
-            }
-        }
-        &self.text.idf
-    }
-
     /// Applies one dated delta (new CVEs and modified redeliveries),
     /// returning the cleaned accumulated corpus, its report, and the
     /// quality ledger — bit-identical to
     /// `Cleaner::new(options).clean(state.database(), …)` after the same
     /// entries were pushed (the ledger additionally carries
     /// [`crate::quality::IssueKind::Quarantined`] issues for items the
-    /// ingest path isolated, which the batch pipeline never sees).
+    /// ingest path isolated, which a fresh state never sees).
     pub fn apply_delta<V: Verifier + Sync>(
         &mut self,
         delta: &[CveEntry],
         archive: &WebArchive,
         verifier: &V,
     ) -> CleanOutcome {
-        // Fold the delta into the accumulated corpus. Text-feature updates
-        // are queued for the lazy fold in [`Self::idf`]; the §4.2 dirty
-        // set collects every vendor whose CPE rows may change — those of
-        // each delivered entry's old and new versions.
+        let mut ledger = QualityLedger::default();
+        let (database, report) = self.apply_delta_into(delta, archive, verifier, &mut ledger);
+        CleanOutcome {
+            database,
+            report,
+            ledger,
+        }
+    }
+
+    /// [`CleanState::apply_delta`] with a pluggable issue sink: the stages
+    /// run identically, then the stage-detectors emit into `sink` — or
+    /// skip all assessment work when the sink is disabled
+    /// ([`crate::quality::NullSink`]).
+    pub fn apply_delta_into<V: Verifier + Sync, S: QualitySink>(
+        &mut self,
+        delta: &[CveEntry],
+        archive: &WebArchive,
+        verifier: &V,
+        sink: &mut S,
+    ) -> (Database, CleanReport) {
+        // Fold the delta into the accumulated corpus. The §4.2 dirty set
+        // collects every vendor whose CPE rows may change — those of each
+        // delivered entry's old and new versions.
         let mut touched: BTreeSet<CveId> = BTreeSet::new();
         let mut dirty_vendors: BTreeSet<VendorName> = BTreeSet::new();
         for entry in delta {
@@ -300,45 +281,39 @@ impl CleanState {
                 dirty_vendors.extend(old.affected.iter().map(|c| c.vendor.clone()));
             }
             dirty_vendors.extend(entry.affected.iter().map(|c| c.vendor.clone()));
-            self.text
-                .pending
-                .push((entry.id, entry.primary_description().map(str::to_owned)));
             touched.insert(entry.id);
             self.database.push(entry.clone());
         }
 
-        // §4.1 — disclosure for touched CVEs only. Crawl results are pure
-        // per (archive, crawlers, url) and the estimate folds one entry's
-        // results, so estimating a touched-only sub-database equals the
-        // corresponding slice of a full-corpus estimate.
-        let estimator = DisclosureEstimator::new(archive)
-            .with_crawlers(self.options.crawlers.clone())
-            .with_rule(self.options.aggregation);
-        let touched_db = Database::from_entries(
-            touched
-                .iter()
-                .map(|id| self.database.get(id).expect("just pushed").clone()),
-        );
-        for (id, est) in estimator.estimate_all(&touched_db) {
-            self.disclosure.insert(id, est);
-        }
-
-        // §4.4 mining half — re-scan only touched entries' descriptions
-        // (the names pass below never edits descriptions, so mining the
-        // raw entry equals mining the name-cleaned one).
         let touched_entries: Vec<&CveEntry> = touched
             .iter()
             .map(|id| self.database.get(id).expect("just pushed"))
             .collect();
+
+        // §4.1 — disclosure for touched CVEs only. Crawl results are pure
+        // per (archive, crawlers, url) and the estimate folds one entry's
+        // results, so estimating the touched entries equals the
+        // corresponding slice of a full-corpus estimate.
+        let estimator = DisclosureEstimator::new(archive)
+            .with_crawlers(self.options.crawlers.clone())
+            .with_rule(self.options.aggregation);
+        self.disclosure
+            .extend(estimator.estimate_entries(&touched_entries));
+
+        // §4.4 mining half — re-scan only touched entries' descriptions
+        // (the names pass below never edits descriptions, so mining the
+        // raw entry equals mining the name-cleaned one).
         let catalog = CweCatalog::builtin();
         let mined = minipar::par_map(&touched_entries, |e| mine_entry_cwe_ids(e, &catalog));
         for (id, ids) in touched.iter().zip(mined) {
             self.cwe_mined.insert(*id, ids);
         }
 
-        // §4.2 — vendor names through the sweep carry-over; verification
-        // and mapping construction are cheap whole-corpus passes, re-run
-        // exactly as the batch pipeline does.
+        // §4.2 — vendor names through the sweep carry-over. Pair
+        // verification stands in for the paper's manual review of every
+        // flagged pair: per-pair work with no cross-pair state, so it maps
+        // in candidate order. Mapping construction is a cheap whole-corpus
+        // pass, re-run every delta.
         let vendor_candidates =
             find_vendor_candidates_cached(&self.database, &mut self.vendor_cache, &dirty_vendors);
         let confirmed_flags: Vec<bool> =
@@ -352,10 +327,10 @@ impl CleanState {
         let pattern_breakdown = PatternBreakdown::tabulate(&vendor_candidates, &confirmed_flags);
         let mut mapping = NameMapping::build_vendor(&confirmed, &self.database);
 
-        // §4.2 — product names: rebuild the consolidated vendor → products
-        // map (the mapping may have changed), then re-sweep only vendors
-        // whose product set did.
-        let product_candidates = self.product_candidates_cached(&mapping);
+        // §4.2 — product names under the consolidated vendors (the mapping
+        // may have changed), re-sweeping only vendors whose product set did.
+        let product_candidates =
+            find_product_candidates_cached(&self.database, &mapping, &mut self.product_cache);
         let product_confirmed: Vec<_> = product_candidates
             .iter()
             .filter(|c| confirm_product(c))
@@ -390,12 +365,10 @@ impl CleanState {
         let cwe: CweFixOutcome = apply_mined_cwe_ids(&mut cleaned, mined_per_entry);
 
         // §4.3 — severity backport: inherently whole-corpus (stratified
-        // split over the label population), re-run when enabled.
-        let severity = if self.options.run_backport {
-            Some(backport_v3(&cleaned, &self.options.backport))
-        } else {
-            None
-        };
+        // split over the label population), re-run when enabled and the
+        // corpus holds enough ground truth to learn from.
+        let severity = (self.options.run_backport && has_ground_truth(&cleaned))
+            .then(|| backport_v3(&cleaned, &self.options.backport));
 
         let disclosure = self.disclosure.clone();
         let report = CleanReport {
@@ -405,16 +378,12 @@ impl CleanState {
             cwe,
         };
         // Quality assessment over the whole accumulated corpus: detectors
-        // read only (cleaned, report, quarantine) — all of which equal the
-        // batch pipeline's on the same corpus (quarantine is empty on the
+        // read only (cleaned, report, quarantine) — all of which equal a
+        // fresh state's on the same corpus (quarantine is empty on the
         // pure-delta path) — so the ledger is bit-identical batch vs
         // incremental at every step.
-        let ledger = QualityLedger::assemble(&cleaned, &report, &self.quarantine);
-        CleanOutcome {
-            database: cleaned,
-            report,
-            ledger,
-        }
+        emit_issues(&cleaned, &report, &self.quarantine, sink);
+        (cleaned, report)
     }
 
     /// Transactionally ingests one feed from raw JSON text.
@@ -544,54 +513,6 @@ impl CleanState {
             quarantined,
         }
     }
-
-    /// The §4.2 product sweep with per-vendor carry-over: equals
-    /// `find_product_candidates(&self.database, mapping)` bit for bit.
-    fn product_candidates_cached(&mut self, mapping: &NameMapping) -> Vec<ProductCandidate> {
-        let mut products: BTreeMap<VendorName, BTreeSet<ProductName>> = BTreeMap::new();
-        for entry in self.database.iter() {
-            for cpe in &entry.affected {
-                let vendor = mapping.resolve_vendor(&cpe.vendor).clone();
-                products
-                    .entry(vendor)
-                    .or_default()
-                    .insert(cpe.product.clone());
-            }
-        }
-
-        let stale: Vec<(&VendorName, &BTreeSet<ProductName>)> = products
-            .iter()
-            .filter(|(vendor, names)| {
-                self.product_cache
-                    .get(*vendor)
-                    .is_none_or(|e| &e.products != *names)
-            })
-            .collect();
-        let swept = minipar::par_map(&stale, |&(vendor, names)| sweep_vendor(vendor, names));
-        for ((vendor, names), candidates) in stale.into_iter().zip(swept) {
-            self.product_cache.insert(
-                vendor.clone(),
-                ProductSweepEntry {
-                    products: names.clone(),
-                    candidates,
-                },
-            );
-        }
-
-        // Concatenate per vendor in ascending order — the same order the
-        // batch sweep's parallel flatten produces.
-        products
-            .keys()
-            .flat_map(|vendor| {
-                self.product_cache
-                    .get(vendor)
-                    .expect("swept or cached above")
-                    .candidates
-                    .iter()
-                    .cloned()
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -601,7 +522,6 @@ mod tests {
     use crate::names::OracleVerifier;
     use nvd_synth::delta::generate_delta_stream;
     use nvd_synth::SynthConfig;
-    use textkit::PreprocessedCorpus;
 
     fn options() -> CleanOptions {
         CleanOptions {
@@ -742,42 +662,35 @@ mod tests {
     }
 
     #[test]
-    fn carried_idf_matches_fresh_corpus_fit() {
-        let stream = generate_delta_stream(&SynthConfig::with_scale(0.002, 0x77), 2);
+    fn small_first_delta_skips_the_backport_instead_of_panicking() {
+        use crate::quality::{IssueKind, Resolution};
+        // Default options run the backport; 15 entries cannot hold the
+        // ground truth it needs.
+        let stream = generate_delta_stream(&SynthConfig::with_scale(0.002, 0x15), 1);
         let oracle = OracleVerifier::new(stream.corpus.truth.vendor_alias_map());
-        let mut state = CleanState::new(options());
-        let base: Vec<_> = stream.base.iter().cloned().collect();
-        state.apply_delta(&base, &stream.corpus.archive, &oracle);
-        for feed in &stream.feeds {
-            state.apply_delta(&feed.entries(), &stream.corpus.archive, &oracle);
-        }
-
-        // Materialise the lazily folded IDF, then compare against a fresh
-        // corpus fit over the accumulated descriptions.
-        let carried = state.idf().clone();
-        let texts: Vec<&str> = state
-            .database()
+        let first: Vec<CveEntry> = stream.base.iter().take(15).cloned().collect();
+        assert_eq!(first.len(), 15);
+        let mut state = CleanState::new(CleanOptions::default());
+        let inc = state.apply_delta(&first, &stream.corpus.archive, &oracle);
+        assert!(inc.report.severity.is_none());
+        let v3_issues: Vec<_> = inc
+            .database
             .iter()
-            .filter_map(|e| e.primary_description())
+            .flat_map(|e| inc.ledger.issues_for(&e.id))
+            .filter(|i| i.kind == IssueKind::MissingCvssV3)
             .collect();
-        let corpus = PreprocessedCorpus::build(texts.iter().copied(), TEXT_SEED);
-        let fresh = Idf::fit_corpus(&corpus);
-        assert_eq!(carried.len(), fresh.len());
-        // Weight probes over every term hash the fresh fit knows, plus an
-        // unseen term (exercises the doc-count-only path).
-        for text in texts.iter().take(50) {
-            for term in preprocess(text) {
-                let h = textkit::encoder::term_features(&[term], TEXT_SEED)
-                    .keys()
-                    .next()
-                    .copied()
-                    .expect("one unigram feature");
-                assert_eq!(
-                    carried.weight(h).to_bits(),
-                    fresh.weight(h).to_bits(),
-                    "idf weight diverged"
-                );
-            }
-        }
+        assert!(!v3_issues.is_empty(), "some entry lacks a v3 score");
+        assert!(v3_issues
+            .iter()
+            .all(|i| i.resolution == Resolution::NeedsReview));
+
+        let batch = Cleaner::default().clean(
+            &Database::from_entries(first),
+            &stream.corpus.archive,
+            &oracle,
+        );
+        assert_eq!(inc.database.as_slice(), batch.database.as_slice());
+        assert_eq!(format!("{:?}", inc.report), format!("{:?}", batch.report));
+        assert_eq!(inc.ledger, batch.ledger);
     }
 }

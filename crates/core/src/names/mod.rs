@@ -24,6 +24,7 @@ pub mod legacy;
 
 pub use mapping::{ApplyStats, NameMapping};
 pub use product::{find_product_candidates, ProductCandidate, ProductHeuristic};
+pub(crate) use product::{find_product_candidates_cached, ProductSweepCache};
 pub use table::NameTable;
 pub use vendor::{
     find_vendor_candidates, find_vendor_candidates_cached, PatternBreakdown, VendorCandidate,

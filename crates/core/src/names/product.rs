@@ -75,12 +75,37 @@ fn differs_only_in_digit(a: &str, b: &str) -> bool {
 const EDIT_SWEEP_CAP: usize = 600;
 
 /// Finds candidate product pairs under each vendor after applying the
-/// vendor mapping.
-///
-/// Each vendor's sweep is independent, so the per-vendor blocks fan out
-/// over `minipar` and concatenate in ascending vendor order; output is
-/// bit-identical at every `NVD_JOBS` setting.
+/// vendor mapping: the cached sweep over a fresh cache.
 pub fn find_product_candidates(db: &Database, mapping: &NameMapping) -> Vec<ProductCandidate> {
+    find_product_candidates_cached(db, mapping, &mut ProductSweepCache::default())
+}
+
+/// Carry-over state for [`find_product_candidates_cached`]: each vendor's
+/// last sweep, keyed on the consolidated vendor name, together with the
+/// product set it was computed over.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ProductSweepCache {
+    vendors: BTreeMap<VendorName, ProductSweepEntry>,
+}
+
+#[derive(Debug, Clone)]
+struct ProductSweepEntry {
+    products: BTreeSet<ProductName>,
+    candidates: Vec<ProductCandidate>,
+}
+
+/// [`find_product_candidates`] with per-vendor carry-over: a vendor is
+/// re-swept only when its consolidated product set differs from the one
+/// its cached sweep saw.
+///
+/// Each sweep is pure in `(vendor, products)`, so stale vendors fan out
+/// over `minipar` and the result concatenates per vendor in ascending
+/// order; output is bit-identical to a cold sweep at every `NVD_JOBS`.
+pub(crate) fn find_product_candidates_cached(
+    db: &Database,
+    mapping: &NameMapping,
+    cache: &mut ProductSweepCache,
+) -> Vec<ProductCandidate> {
     // Products per consolidated vendor.
     let mut products: BTreeMap<VendorName, BTreeSet<ProductName>> = BTreeMap::new();
     for entry in db.iter() {
@@ -93,22 +118,42 @@ pub fn find_product_candidates(db: &Database, mapping: &NameMapping) -> Vec<Prod
         }
     }
 
-    let per_vendor: Vec<(&VendorName, &BTreeSet<ProductName>)> = products.iter().collect();
-    let sweeps = minipar::par_map(&per_vendor, |&(vendor, names)| sweep_vendor(vendor, names));
-    sweeps.into_iter().flatten().collect()
+    // Vendors that left the universe are evicted, so afterwards the cache
+    // holds exactly the current vendors, in ascending order.
+    cache
+        .vendors
+        .retain(|vendor, _| products.contains_key(vendor));
+    let stale: Vec<(VendorName, BTreeSet<ProductName>)> = products
+        .into_iter()
+        .filter(|(vendor, names)| {
+            cache
+                .vendors
+                .get(vendor)
+                .is_none_or(|e| &e.products != names)
+        })
+        .collect();
+    let swept = minipar::par_map(&stale, |(vendor, names)| sweep_vendor(vendor, names));
+    for ((vendor, products), candidates) in stale.into_iter().zip(swept) {
+        cache.vendors.insert(
+            vendor,
+            ProductSweepEntry {
+                products,
+                candidates,
+            },
+        );
+    }
+
+    cache
+        .vendors
+        .values()
+        .flat_map(|e| e.candidates.iter().cloned())
+        .collect()
 }
 
 /// The per-vendor block: interns the vendor's products and runs the three
 /// heuristics over dense ids, returning candidates in `(a, b)` order with
 /// the strongest heuristic kept on duplicates.
-///
-/// Pure in `(vendor, names)` — the incremental pipeline caches each
-/// vendor's sweep and re-runs it only when that vendor's product set
-/// changed.
-pub(crate) fn sweep_vendor(
-    vendor: &VendorName,
-    names: &BTreeSet<ProductName>,
-) -> Vec<ProductCandidate> {
+fn sweep_vendor(vendor: &VendorName, names: &BTreeSet<ProductName>) -> Vec<ProductCandidate> {
     let table = NameTable::from_sorted_iter(names.iter());
     let n = table.len() as u32;
     let mut pairs: Vec<(u32, u32, ProductHeuristic)> = Vec::new();
@@ -305,6 +350,30 @@ mod tests {
         let blocked = find_product_candidates(&db, &mapping);
         let legacy = crate::names::legacy::find_product_candidates_legacy(&db, &mapping);
         assert_eq!(blocked, legacy);
+    }
+
+    #[test]
+    fn cached_sweep_matches_cold_sweep_across_deltas() {
+        let mut db = db_with(&[
+            ("microsoft", "internet_explorer"),
+            ("microsoft", "internet-explorer"),
+            ("avg", "antivirus"),
+        ]);
+        let mapping = NameMapping::default();
+        let mut cache = ProductSweepCache::default();
+        assert_eq!(
+            find_product_candidates_cached(&db, &mapping, &mut cache),
+            find(&db)
+        );
+        // Grow one vendor's product set; the other vendor's sweep is reused.
+        let id: CveId = "CVE-2018-0001".parse().unwrap();
+        let mut e = CveEntry::new(id, "2018-01-01".parse().unwrap());
+        e.affected.push(CpeName::application("avg", "anti-virus"));
+        db.push(e);
+        assert_eq!(
+            find_product_candidates_cached(&db, &mapping, &mut cache),
+            find(&db)
+        );
     }
 
     #[test]

@@ -81,9 +81,6 @@ enum Block {
     /// The centre pairs with every other member (abbreviation collisions;
     /// product-as-vendor).
     Star { center: u32, others: Vec<u32> },
-    /// Pairs within edit distance [`EDIT_MAX`] (shared 4-prefix / 4-suffix
-    /// spelling blocks).
-    EditPairs(Vec<u32>),
     /// Forward prefix scan over the ascending id range `[start, end)`: each
     /// start id pairs with every follower it strictly prefixes.
     PrefixScan { start: u32, end: u32 },
@@ -107,7 +104,6 @@ impl Block {
                     }
                 }
             }
-            Block::EditPairs(ids) => edit_pairs_into(table, ids, out),
             Block::PrefixScan { start, end } => {
                 let n = table.len() as u32;
                 for i in *start..*end {
@@ -137,7 +133,8 @@ fn edit_pairs_into(table: &NameTable<'_, VendorName>, ids: &[u32], out: &mut Vec
     }
 }
 
-/// Finds all candidate vendor pairs in a database.
+/// Finds all candidate vendor pairs in a database:
+/// [`find_vendor_candidates_cached`] over a fresh cache.
 ///
 /// Blocking keeps this sub-quadratic: pairs are proposed from shared
 /// normalised forms, shared abbreviations, shared products, vendor names
@@ -146,51 +143,11 @@ fn edit_pairs_into(table: &NameTable<'_, VendorName>, ids: &[u32], out: &mut Vec
 /// block). Proposal and signal annotation each fan out over the `minipar`
 /// pool; output is bit-identical at every `NVD_JOBS` setting.
 pub fn find_vendor_candidates(db: &Database) -> Vec<VendorCandidate> {
-    // Every CPE contributes its vendor to `products_by_vendor`, so the
-    // map's key set *is* the vendor universe in sorted order — interning
-    // from it skips the separate `vendor_set` pass the legacy sweep paid
-    // for, and the per-id product sets are just the values in key order.
-    let products_by_vendor = db.products_by_vendor();
-    let table = NameTable::from_sorted_iter(products_by_vendor.keys().copied());
-    let products: Vec<&BTreeSet<&ProductName>> = products_by_vendor.values().collect();
-    // Per-id derived keys, computed once and shared by blocking and
-    // annotation (the legacy sweep recomputed them per pair).
-    let norms: Vec<String> = table
-        .names()
-        .iter()
-        .map(|v| strip_specials(v.as_str()))
-        .collect();
-    let abbrevs: Vec<Option<String>> = table
-        .names()
-        .iter()
-        .map(|v| abbreviation(v.as_str()))
-        .collect();
-
-    let mut blocks = standard_blocks(&table, &products, &norms, &abbrevs);
-    for (_key, group) in edit_groups(&table) {
-        blocks.push(Block::EditPairs(group));
-    }
-
-    // Pair proposal: one task per block, merged in ascending block order.
-    // The id sort afterwards makes the merge order irrelevant to output —
-    // and equal to the legacy BTreeSet iteration order.
-    let per_block = minipar::par_map(&blocks, |b| {
-        let mut out = Vec::new();
-        b.propose(&table, &mut out);
-        out
-    });
-    let mut pairs: Vec<(u32, u32)> = per_block.into_iter().flatten().collect();
-    pairs.sort_unstable();
-    pairs.dedup();
-
-    // Signal annotation: pure per pair, fanned over the deduped list.
-    minipar::par_map(&pairs, |&(ia, ib)| {
-        annotate_pair(&table, &products, &norms, &abbrevs, ia, ib)
-    })
+    find_vendor_candidates_cached(db, &mut VendorSweepCache::default(), &BTreeSet::new())
 }
 
 /// Blocking passes 1–5 (everything except the edit-distance blocks, which
-/// the incremental sweep caches separately).
+/// the sweep caches separately).
 fn standard_blocks(
     table: &NameTable<'_, VendorName>,
     products: &[&BTreeSet<&ProductName>],
@@ -273,8 +230,8 @@ fn standard_blocks(
 /// last-4 blocks for misspellings dropping an early character
 /// (microsoft/microsft share only a 1-prefix with the typo at position 1).
 /// Each cap-filtered group is returned with a cache key (`p`/`s` pass tag
-/// plus the block's character key) so the incremental sweep can reuse
-/// survivors when a block's member names are unchanged.
+/// plus the block's character key) so the sweep can reuse survivors when
+/// a block's member names are unchanged.
 fn edit_groups(table: &NameTable<'_, VendorName>) -> Vec<(String, Vec<u32>)> {
     let mut by_prefix4: BTreeMap<String, Vec<u32>> = BTreeMap::new();
     let mut by_suffix4: BTreeMap<String, Vec<u32>> = BTreeMap::new();
@@ -348,16 +305,16 @@ fn annotate_pair(
 ///   unchanged reuses its survivors without re-running Levenshtein;
 /// - per proposed pair: the annotated candidate — reused when neither
 ///   vendor is in the caller's dirty set (every other signal is a pure
-///   function of the two names).
+///   function of the two names). The last sweep's output is kept as is:
+///   it is sorted by `(a, b)` name, so lookups binary-search it.
 ///
 /// The cache never influences *which* pairs are proposed or how they are
-/// ordered, only whether their per-pair work is recomputed, so
-/// [`find_vendor_candidates_cached`] is bit-identical to
-/// [`find_vendor_candidates`] on the same database.
+/// ordered, only whether their per-pair work is recomputed, so a warm
+/// sweep is bit-identical to a cold one on the same database.
 #[derive(Debug, Clone, Default)]
 pub struct VendorSweepCache {
     edit_blocks: HashMap<String, EditBlockEntry>,
-    pairs: HashMap<String, VendorCandidate>,
+    pairs: Vec<VendorCandidate>,
 }
 
 #[derive(Debug, Clone)]
@@ -366,19 +323,10 @@ struct EditBlockEntry {
     survivors: Vec<(String, String)>,
 }
 
-/// Joint key for an ordered name pair (`\0` never occurs in a CPE name).
-fn pair_key(a: &str, b: &str) -> String {
-    let mut k = String::with_capacity(a.len() + b.len() + 1);
-    k.push_str(a);
-    k.push('\0');
-    k.push_str(b);
-    k
-}
-
-/// [`find_vendor_candidates`] with carry-over: recomputes the cheap
-/// near-linear blocking passes, but reuses cached edit-distance survivors
-/// and pair annotations wherever the delta left their inputs untouched.
-/// Output is bit-identical to the uncached sweep at every `NVD_JOBS`.
+/// The §4.2 vendor sweep with carry-over: recomputes the cheap near-linear
+/// blocking passes, but reuses cached edit-distance survivors and pair
+/// annotations wherever the delta left their inputs untouched. Output is
+/// bit-identical to a cold sweep at every `NVD_JOBS`.
 ///
 /// `dirty` is the invalidation contract: it must contain every vendor
 /// name whose CPE rows may have changed since `cache` was last refreshed
@@ -391,9 +339,14 @@ pub fn find_vendor_candidates_cached(
     cache: &mut VendorSweepCache,
     dirty: &BTreeSet<VendorName>,
 ) -> Vec<VendorCandidate> {
+    // Every CPE contributes its vendor to `products_by_vendor`, so the
+    // map's key set *is* the vendor universe in sorted order, and the
+    // per-id product sets are just the values in key order.
     let products_by_vendor = db.products_by_vendor();
     let table = NameTable::from_sorted_iter(products_by_vendor.keys().copied());
     let products: Vec<&BTreeSet<&ProductName>> = products_by_vendor.values().collect();
+    // Per-id derived keys, computed once and shared by blocking and
+    // annotation.
     let norms: Vec<String> = table
         .names()
         .iter()
@@ -444,9 +397,9 @@ pub fn find_vendor_candidates_cached(
         edit_pairs_into(&table, &job.1, &mut out);
         out
     });
-    for ((key, ids), survivors) in jobs.iter().zip(&computed) {
+    for ((key, ids), survivors) in jobs.into_iter().zip(&computed) {
         cache.edit_blocks.insert(
-            key.clone(),
+            key,
             EditBlockEntry {
                 members: ids
                     .iter()
@@ -465,6 +418,8 @@ pub fn find_vendor_candidates_cached(
         );
     }
 
+    // The id sort makes the merge order irrelevant to output — and equal
+    // to the legacy BTreeSet iteration order.
     let mut pairs: Vec<(u32, u32)> = per_block
         .into_iter()
         .flatten()
@@ -476,21 +431,20 @@ pub fn find_vendor_candidates_cached(
 
     let annotated = minipar::par_map(&pairs, |&(ia, ib)| {
         if !dirty[ia as usize] && !dirty[ib as usize] {
-            if let Some(c) = cache
+            let key = (table.name(ia).as_str(), table.name(ib).as_str());
+            if let Ok(i) = cache
                 .pairs
-                .get(&pair_key(table.name(ia).as_str(), table.name(ib).as_str()))
+                .binary_search_by(|c| (c.a.as_str(), c.b.as_str()).cmp(&key))
             {
-                return c.clone();
+                return cache.pairs[i].clone();
             }
         }
         annotate_pair(&table, &products, &norms, &abbrevs, ia, ib)
     });
 
-    // Refresh the carry-over for the next delta.
-    cache.pairs = annotated
-        .iter()
-        .map(|c| (pair_key(c.a.as_str(), c.b.as_str()), c.clone()))
-        .collect();
+    // Refresh the carry-over for the next delta. Ids follow name order, so
+    // the id-sorted output is also sorted by name pair.
+    cache.pairs.clone_from(&annotated);
     annotated
 }
 

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 use mlkit::data::{stratified_split_indices, Dataset};
 use mlkit::matrix::Matrix;
-use nvd_model::prelude::{CveId, Database, Severity};
+use nvd_model::prelude::{CveEntry, CveId, Database, Severity};
 
 use super::eval::{evaluate, transition_matrix, v3_band_index, EvalReport};
 use super::features::FeatureExtractor;
@@ -86,21 +86,34 @@ impl BackportOutcome {
     }
 }
 
+/// The fewest dual-scored CVEs (both CVSS versions) [`backport_v3`] can
+/// learn from; the cleaning pipeline skips the backport below it.
+pub const MIN_GROUND_TRUTH: usize = 20;
+
+/// The backport's ground truth: CVEs carrying both CVSS versions.
+fn ground_truth(db: &Database) -> Vec<&CveEntry> {
+    db.iter()
+        .filter(|e| e.cvss_v2.is_some() && e.cvss_v3.is_some())
+        .collect()
+}
+
+/// Whether `db` holds the [`MIN_GROUND_TRUTH`] that [`backport_v3`] needs.
+pub(crate) fn has_ground_truth(db: &Database) -> bool {
+    ground_truth(db).len() >= MIN_GROUND_TRUTH
+}
+
 /// Runs the full §4.3 pipeline over a database.
 ///
 /// # Panics
 ///
-/// Panics if fewer than 20 CVEs carry both CVSS versions (no ground truth
-/// to learn from).
+/// Panics if fewer than [`MIN_GROUND_TRUTH`] CVEs carry both CVSS versions
+/// (no ground truth to learn from).
 pub fn backport_v3(db: &Database, options: &BackportOptions) -> BackportOutcome {
     // --- assemble ground truth ------------------------------------------
-    let ground: Vec<_> = db
-        .iter()
-        .filter(|e| e.cvss_v2.is_some() && e.cvss_v3.is_some())
-        .collect();
+    let ground = ground_truth(db);
     assert!(
-        ground.len() >= 20,
-        "need at least 20 dual-scored CVEs, found {}",
+        ground.len() >= MIN_GROUND_TRUTH,
+        "need at least {MIN_GROUND_TRUTH} dual-scored CVEs, found {}",
         ground.len()
     );
 

@@ -217,8 +217,10 @@ impl Layer {
                 grad_w.as_mut_slice().fill(0.0);
                 grad_b.fill(0.0);
                 // Parameter gradients accumulate serially in ascending
-                // sample order (the conv layers are tiny next to the dense
-                // ones); input gradients are per-row.
+                // sample order, which keeps every weight and bias
+                // reduction in one fixed order and so bit-identical at any
+                // `NVD_JOBS` (this loop, not the dense layers, dominates
+                // CNN training time); input gradients are per-row.
                 for s in 0..delta.rows() {
                     let d_row = delta.row(s);
                     let x_row = input.row(s);

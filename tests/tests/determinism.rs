@@ -336,6 +336,73 @@ fn incremental_ingestion_is_bit_identical_across_job_counts() {
 }
 
 #[test]
+fn incremental_equals_batch_with_the_backport_on_at_any_job_count() {
+    // The §4.3 backport joins the batch == incremental contract: at every
+    // delta, the warm state equals batch-cleaning the accumulated corpus,
+    // under the inline path and a wide pool. The cheap LR/SVR models keep
+    // the whole-corpus retrain per delta affordable.
+    use nvd_clean::severity::ModelKind;
+    use nvd_clean::{BackportOptions, CleanOptions, CleanState};
+    use nvd_synth::delta::generate_delta_stream;
+    let options = CleanOptions {
+        run_backport: true,
+        backport: BackportOptions {
+            kinds: &[ModelKind::Lr, ModelKind::Svr],
+            ..BackportOptions::default()
+        },
+        ..CleanOptions::default()
+    };
+    let stream = generate_delta_stream(&SynthConfig::with_scale(0.004, 99), 3);
+    let oracle = OracleVerifier::new(stream.corpus.truth.vendor_alias_map());
+    let archive = &stream.corpus.archive;
+    let mut steps: Vec<Vec<CveEntry>> = vec![stream.base.iter().cloned().collect()];
+    steps.extend(stream.feeds.iter().map(|f| f.entries()));
+    let run = |jobs: usize| {
+        minipar::with_jobs(jobs, || {
+            let mut state = CleanState::new(options.clone());
+            let cleaner = Cleaner::new(options.clone());
+            let mut out = Vec::new();
+            for (i, delta) in steps.iter().enumerate() {
+                let inc = state.apply_delta(delta, archive, &oracle);
+                let batch = cleaner.clean(state.database(), archive, &oracle);
+                assert!(
+                    inc.report.severity.is_some(),
+                    "backport skipped at delta {i}"
+                );
+                assert_eq!(
+                    inc.database.as_slice(),
+                    batch.database.as_slice(),
+                    "cleaned database diverged at delta {i}, jobs {jobs}"
+                );
+                let report = format!("{:?}", inc.report);
+                assert_eq!(
+                    report,
+                    format!("{:?}", batch.report),
+                    "report diverged at delta {i}, jobs {jobs}"
+                );
+                assert_eq!(
+                    inc.ledger, batch.ledger,
+                    "quality ledger diverged at delta {i}, jobs {jobs}"
+                );
+                out.push((inc.database, report, inc.ledger));
+            }
+            out
+        })
+    };
+    let serial = run(1);
+    let wide = run(4);
+    for (i, (a, b)) in serial.iter().zip(&wide).enumerate() {
+        assert_eq!(
+            a.0.as_slice(),
+            b.0.as_slice(),
+            "database diverged across jobs at delta {i}"
+        );
+        assert_eq!(a.1, b.1, "report diverged across jobs at delta {i}");
+        assert_eq!(a.2, b.2, "ledger diverged across jobs at delta {i}");
+    }
+}
+
+#[test]
 fn warm_serve_updates_match_full_rebuilds_at_any_shard_count() {
     // Absorbing a delta stream through ServeIndexState::apply_delta must
     // leave the index digest-identical to a fresh build of each corpus
