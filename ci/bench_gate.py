@@ -42,6 +42,7 @@ import sys
 MANIFEST = {
     "BENCH_mlkit.json": [
         ("mlkit_fit/batched/jobs_1", "mlkit_fit/legacy_per_sample"),
+        ("mlkit_conv_fit/new/jobs_1", "mlkit_conv_fit/legacy_per_sample"),
     ],
     "BENCH_textkit.json": [
         ("textkit_preprocess/new/jobs_1", "textkit_preprocess/legacy"),

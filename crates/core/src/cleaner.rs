@@ -89,9 +89,9 @@ pub struct CleanReport {
     pub disclosure: BTreeMap<CveId, DisclosureEstimate>,
     /// Name-cleaning summary (§4.2).
     pub names: NameReport,
-    /// Severity backport outcome (§4.3); `None` when disabled, or when
+    /// Severity backport outcome (§4.3); `None` when disabled, when
     /// fewer than [`crate::severity::MIN_GROUND_TRUTH`] CVEs carry both
-    /// CVSS versions.
+    /// CVSS versions, or when the stratified split leaves no test rows.
     pub severity: Option<BackportOutcome>,
     /// CWE rectification outcome (§4.4).
     pub cwe: CweFixOutcome,

@@ -23,7 +23,8 @@
 //! delta when enabled (pure — it never mutates the database), and skipped
 //! while the corpus holds fewer than
 //! [`MIN_GROUND_TRUTH`](crate::severity::MIN_GROUND_TRUTH) dual-scored
-//! CVEs, so a small first delta reports `severity: None` instead of
+//! CVEs or the stratified split would leave no test rows, so a small first
+//! delta (or a tiny `test_fraction`) reports `severity: None` instead of
 //! panicking.
 //!
 //! # The determinism contract
@@ -367,8 +368,9 @@ impl CleanState {
         // §4.3 — severity backport: inherently whole-corpus (stratified
         // split over the label population), re-run when enabled and the
         // corpus holds enough ground truth to learn from.
-        let severity = (self.options.run_backport && has_ground_truth(&cleaned))
-            .then(|| backport_v3(&cleaned, &self.options.backport));
+        let severity = (self.options.run_backport
+            && has_ground_truth(&cleaned, &self.options.backport))
+        .then(|| backport_v3(&cleaned, &self.options.backport));
 
         let disclosure = self.disclosure.clone();
         let report = CleanReport {
@@ -692,5 +694,55 @@ mod tests {
         assert_eq!(inc.database.as_slice(), batch.database.as_slice());
         assert_eq!(format!("{:?}", inc.report), format!("{:?}", batch.report));
         assert_eq!(inc.ledger, batch.ledger);
+    }
+
+    #[test]
+    fn empty_test_split_skips_the_backport_instead_of_panicking() {
+        use crate::severity::{BackportOptions, ModelKind};
+        // A scale-0.002 corpus holds 20–39 dual-scored CVEs: at a 1% test
+        // fraction every v3 band floors to zero test rows, and at 0% the
+        // split is always empty. Either used to panic on every delta.
+        let stream = generate_delta_stream(&SynthConfig::with_scale(0.002, 0x15), 2);
+        let oracle = OracleVerifier::new(stream.corpus.truth.vendor_alias_map());
+        let base: Vec<_> = stream.base.iter().cloned().collect();
+        for test_fraction in [0.0, 0.01] {
+            let opts = CleanOptions {
+                backport: BackportOptions {
+                    test_fraction,
+                    kinds: &[ModelKind::Lr],
+                    ..BackportOptions::default()
+                },
+                ..CleanOptions::default()
+            };
+            let mut state = CleanState::new(opts.clone());
+            for delta in
+                std::iter::once(base.clone()).chain(stream.feeds.iter().map(|f| f.entries()))
+            {
+                let inc = state.apply_delta(&delta, &stream.corpus.archive, &oracle);
+                assert!(
+                    inc.report.severity.is_none(),
+                    "test_fraction {test_fraction}"
+                );
+            }
+            let ground = state
+                .database()
+                .iter()
+                .filter(|e| e.cvss_v2.is_some() && e.cvss_v3.is_some())
+                .count();
+            assert!(
+                ground >= crate::severity::MIN_GROUND_TRUTH,
+                "the skip must come from the split, not the ground-truth floor ({ground})"
+            );
+            // The same options with the default 20% split do backport.
+            let default_split = CleanState::new(CleanOptions {
+                backport: BackportOptions {
+                    kinds: &[ModelKind::Lr],
+                    ..BackportOptions::default()
+                },
+                ..CleanOptions::default()
+            })
+            .apply_delta(state.database().as_slice(), &stream.corpus.archive, &oracle);
+            assert!(default_split.report.severity.is_some());
+        }
     }
 }

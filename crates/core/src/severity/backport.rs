@@ -97,9 +97,23 @@ fn ground_truth(db: &Database) -> Vec<&CveEntry> {
         .collect()
 }
 
-/// Whether `db` holds the [`MIN_GROUND_TRUTH`] that [`backport_v3`] needs.
-pub(crate) fn has_ground_truth(db: &Database) -> bool {
-    ground_truth(db).len() >= MIN_GROUND_TRUTH
+/// The ground truth's train/test split, stratified by v3 band.
+fn split_ground_truth(ground: &[&CveEntry], options: &BackportOptions) -> (Vec<usize>, Vec<usize>) {
+    let strata: Vec<usize> = ground
+        .iter()
+        .map(|e| v3_band_index(e.severity_v3().expect("filtered")))
+        .collect();
+    stratified_split_indices(&strata, options.test_fraction, options.seed)
+}
+
+/// Whether `db` holds the ground truth [`backport_v3`] needs under
+/// `options`: at least [`MIN_GROUND_TRUTH`] dual-scored CVEs, split so
+/// that the test side (which selects the model) is not empty. A small
+/// `test_fraction` floors every v3 band to zero test rows on a small
+/// corpus, and `test_fraction: 0.0` always does.
+pub(crate) fn has_ground_truth(db: &Database, options: &BackportOptions) -> bool {
+    let ground = ground_truth(db);
+    ground.len() >= MIN_GROUND_TRUTH && !split_ground_truth(&ground, options).1.is_empty()
 }
 
 /// Runs the full §4.3 pipeline over a database.
@@ -107,7 +121,8 @@ pub(crate) fn has_ground_truth(db: &Database) -> bool {
 /// # Panics
 ///
 /// Panics if fewer than [`MIN_GROUND_TRUTH`] CVEs carry both CVSS versions
-/// (no ground truth to learn from).
+/// (no ground truth to learn from), or if the stratified split leaves no
+/// test rows to select a model on.
 pub fn backport_v3(db: &Database, options: &BackportOptions) -> BackportOutcome {
     // --- assemble ground truth ------------------------------------------
     let ground = ground_truth(db);
@@ -116,13 +131,13 @@ pub fn backport_v3(db: &Database, options: &BackportOptions) -> BackportOutcome 
         "need at least {MIN_GROUND_TRUTH} dual-scored CVEs, found {}",
         ground.len()
     );
-
-    let strata: Vec<usize> = ground
-        .iter()
-        .map(|e| v3_band_index(e.severity_v3().expect("filtered")))
-        .collect();
-    let (train_idx, test_idx) =
-        stratified_split_indices(&strata, options.test_fraction, options.seed);
+    let (train_idx, test_idx) = split_ground_truth(&ground, options);
+    assert!(
+        !test_idx.is_empty(),
+        "test_fraction {} leaves no test rows: every v3 band of the {} dual-scored CVEs floors to zero",
+        options.test_fraction,
+        ground.len()
+    );
 
     // Target encoding must only see training data.
     let extractor = FeatureExtractor::fit(train_idx.iter().map(|&i| ground[i]));
@@ -322,6 +337,20 @@ mod tests {
         let b = backport_v3(&corpus.database, &BackportOptions::default());
         assert_eq!(a.chosen, b.chosen);
         assert_eq!(a.predictions, b.predictions);
+    }
+
+    #[test]
+    #[should_panic(expected = "test_fraction 0 leaves no test rows")]
+    fn empty_test_split_names_its_cause() {
+        let corpus = generate(&SynthConfig::with_scale(0.002, 4));
+        backport_v3(
+            &corpus.database,
+            &BackportOptions {
+                test_fraction: 0.0,
+                kinds: &[ModelKind::Lr],
+                ..BackportOptions::default()
+            },
+        );
     }
 
     #[test]

@@ -259,6 +259,26 @@ mod tests {
         assert_eq!(a.predict(&x), b.predict(&x));
     }
 
+    /// Pins the Fast-profile CNN's float stream: the FNV-1a digest of its
+    /// prediction bits after `train` on fixed data. Any change to the conv
+    /// kernels' per-element accumulation order moves this digest.
+    #[test]
+    fn fast_cnn_predictions_match_golden_digest() {
+        let (x, y) = toy_data(154);
+        let m = SeverityModel::train(ModelKind::Cnn, &x, &y, TrainProfile::Fast, 0xbac0);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for p in m.predict(&x) {
+            for b in p.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(
+            h, 0x6214_205e_0df0_a116,
+            "Fast CNN prediction digest moved: {h:#018x}"
+        );
+    }
+
     #[test]
     fn labels_match_paper() {
         assert_eq!(ModelKind::Cnn.label(), "CNN");

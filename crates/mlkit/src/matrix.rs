@@ -14,20 +14,26 @@
 //!   reduction dimension in ascending index order, regardless of banding or
 //!   thread count. Results are therefore bit-identical at every `NVD_JOBS`
 //!   setting, including the inline `jobs = 1` path.
-//! * **Register blocking.** Within a band, [`Matrix::matmul`] processes
-//!   [`ROW_BLOCK`] output rows per pass over the right-hand operand, so each
-//!   B row loaded into L1 is reused `ROW_BLOCK` times. The j dimension
-//!   streams whole rows — every matrix in this workload fits L2, so tiling
-//!   j would only add loop overhead.
+//! * **Register tiles.** Within a band, each product computes a
+//!   [`ROW_BLOCK`] × [`COL_BLOCK`] block of outputs in local accumulators
+//!   that reduce the whole contraction dimension before a single store, so
+//!   the independent sums overlap instead of waiting on one another.
+//!   Leftover rows and columns take a one-row path with the same
+//!   per-element order.
 //!
 //! No BLAS, no unsafe.
 
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
-/// Output rows computed per pass over the right-hand operand in
-/// [`Matrix::matmul`] — the register-blocking factor.
+/// Output rows per register tile in [`Matrix::matmul`] and
+/// [`Matrix::transpose_matmul`].
 pub const ROW_BLOCK: usize = 4;
+
+/// Output columns per register tile: a `ROW_BLOCK × COL_BLOCK` block of
+/// accumulators stays in registers while it reduces the whole contraction
+/// dimension, then is stored once.
+pub const COL_BLOCK: usize = 4;
 
 /// A dense, row-major `rows × cols` matrix of `f64`.
 ///
@@ -171,12 +177,26 @@ impl Matrix {
     /// Matrix transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t[(c, r)] = self[(r, c)];
+        self.transpose_into(&mut t);
+        t
+    }
+
+    /// [`Matrix::transpose`] into a caller-owned output (overwritten).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not `self.cols() × self.rows()`.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        assert_eq!(
+            (out.rows, out.cols),
+            (self.cols, self.rows),
+            "transpose output shape mismatch"
+        );
+        for (r, row) in self.data.chunks_exact(self.cols).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                out.data[c * self.rows + r] = v;
             }
         }
-        t
     }
 
     /// Runs `f(row_index, row)` over every row, sharding contiguous row
@@ -222,7 +242,8 @@ impl Matrix {
     /// Matrix product `self · other`.
     ///
     /// Blocked and parallel: row bands shard over `minipar`, and within a
-    /// band [`ROW_BLOCK`] output rows share each pass over `other`'s rows.
+    /// band each [`ROW_BLOCK`] × [`COL_BLOCK`] output tile reduces in
+    /// registers.
     /// Every output element accumulates `k` in ascending order, so the
     /// result is bit-identical at any job count.
     ///
@@ -243,6 +264,20 @@ impl Matrix {
     /// Panics if `self.cols() != other.rows()` or `out` is not
     /// `self.rows() × other.cols()`.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+        self.matmul_seeded_into(other, None, out);
+    }
+
+    /// [`Matrix::matmul_into`] with every output row's accumulator starting
+    /// at `seed` instead of zero: `out[i][j] = seed[j] + Σ_k self[i][k] ·
+    /// other[k][j]`, reduced left to right in ascending `k`. Seeding the
+    /// sum reproduces a loop that starts each dot product from a bias;
+    /// adding the bias after the product would round differently.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the [`Matrix::matmul_into`] shape mismatches, or if
+    /// `seed` is given and its length is not `other.cols()`.
+    pub fn matmul_seeded_into(&self, other: &Matrix, seed: Option<&[f64]>, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch {}x{} · {}x{}",
@@ -253,29 +288,45 @@ impl Matrix {
             (self.rows, other.cols),
             "matmul output shape mismatch"
         );
+        if let Some(seed) = seed {
+            assert_eq!(seed.len(), other.cols, "matmul seed length mismatch");
+        }
         let n = other.cols;
         let k_dim = self.cols;
-        // One pool task per large band; register blocking inside the band.
-        let bands = band_count(self.rows, k_dim.saturating_mul(n));
-        let band_rows = self.rows.div_ceil(bands).div_ceil(ROW_BLOCK) * ROW_BLOCK;
-        out.par_rows_band_mut(band_rows, |r0, band| {
-            for (qi, quad) in band.chunks_mut(ROW_BLOCK * n).enumerate() {
-                let q0 = r0 + qi * ROW_BLOCK;
-                let mut out_rows: Vec<&mut [f64]> = quad.chunks_mut(n).collect();
-                for row in out_rows.iter_mut() {
-                    row.fill(0.0);
+        tiled_product_into(
+            out,
+            k_dim.saturating_mul(n),
+            |i0, j0| {
+                let a_rows: [&[f64]; ROW_BLOCK] = std::array::from_fn(|i| self.row(i0 + i));
+                let mut acc = [[0.0; COL_BLOCK]; ROW_BLOCK];
+                if let Some(seed) = seed {
+                    for acc_row in &mut acc {
+                        acc_row.copy_from_slice(&seed[j0..j0 + COL_BLOCK]);
+                    }
                 }
                 for k in 0..k_dim {
-                    let b_row = other.row(k);
-                    for (i, out_row) in out_rows.iter_mut().enumerate() {
-                        let a = self.data[(q0 + i) * k_dim + k];
-                        for (o, &b) in out_row.iter_mut().zip(b_row) {
+                    let b = &other.data[k * n + j0..][..COL_BLOCK];
+                    for (acc_row, a_row) in acc.iter_mut().zip(&a_rows) {
+                        let a = a_row[k];
+                        for (o, &b) in acc_row.iter_mut().zip(b) {
                             *o += a * b;
                         }
                     }
                 }
-            }
-        });
+                acc
+            },
+            |i, j0, out_row| {
+                match seed {
+                    Some(seed) => out_row.copy_from_slice(&seed[j0..]),
+                    None => out_row.fill(0.0),
+                }
+                for (k, &a) in self.row(i).iter().enumerate() {
+                    for (o, &b) in out_row.iter_mut().zip(&other.row(k)[j0..]) {
+                        *o += a * b;
+                    }
+                }
+            },
+        );
     }
 
     /// Product with a transposed right-hand side: `self · otherᵀ`, where
@@ -283,9 +334,9 @@ impl Matrix {
     ///
     /// This is the natural layout for dense-layer forward passes
     /// (`X · Wᵀ` with `W` stored `units × fan_in`) and for Gram/distance
-    /// sweeps: both operands stream row-major, so every dot product is a
-    /// pair of contiguous loads. Row bands shard over `minipar`; each
-    /// element reduces `k` ascending — bit-identical at any job count.
+    /// sweeps: both operands stream row-major. Row bands shard over
+    /// `minipar`, and each element is exactly [`dot`] of its two rows
+    /// (reduced `k` ascending) — bit-identical at any job count.
     ///
     /// # Panics
     ///
@@ -314,12 +365,33 @@ impl Matrix {
             (self.rows, other.rows),
             "matmul_transposed output shape mismatch"
         );
-        out.par_rows_mut_cost(self.cols.saturating_mul(other.rows), |r, out_row| {
-            let a_row = self.row(r);
-            for (c, o) in out_row.iter_mut().enumerate() {
-                *o = dot(a_row, other.row(c));
-            }
-        });
+        tiled_product_into(
+            out,
+            self.cols.saturating_mul(other.rows),
+            |i0, j0| {
+                let a_rows: [&[f64]; ROW_BLOCK] = std::array::from_fn(|i| self.row(i0 + i));
+                let b_rows: [&[f64]; COL_BLOCK] = std::array::from_fn(|j| other.row(j0 + j));
+                // `ROW_BLOCK × COL_BLOCK` independent dot products, each
+                // exactly [`dot`]'s sequential sum from -0.0.
+                let mut acc = [[-0.0; COL_BLOCK]; ROW_BLOCK];
+                for k in 0..self.cols {
+                    let b: [f64; COL_BLOCK] = std::array::from_fn(|j| b_rows[j][k]);
+                    for (acc_row, a_row) in acc.iter_mut().zip(&a_rows) {
+                        let a = a_row[k];
+                        for (o, &b) in acc_row.iter_mut().zip(&b) {
+                            *o += a * b;
+                        }
+                    }
+                }
+                acc
+            },
+            |i, j0, out_row| {
+                let a_row = self.row(i);
+                for (j, o) in out_row.iter_mut().enumerate() {
+                    *o = dot(a_row, other.row(j0 + j));
+                }
+            },
+        );
     }
 
     /// Product with a transposed left-hand side: `selfᵀ · other`, where
@@ -360,15 +432,33 @@ impl Matrix {
         );
         let s_dim = self.rows;
         let m = self.cols;
-        out.par_rows_mut_cost(s_dim.saturating_mul(other.cols), |i, out_row| {
-            out_row.fill(0.0);
-            for s in 0..s_dim {
-                let a = self.data[s * m + i];
-                for (o, &b) in out_row.iter_mut().zip(other.row(s)) {
-                    *o += a * b;
+        let n = other.cols;
+        tiled_product_into(
+            out,
+            s_dim.saturating_mul(n),
+            |i0, j0| {
+                let mut acc = [[0.0; COL_BLOCK]; ROW_BLOCK];
+                for s in 0..s_dim {
+                    let a = &self.data[s * m + i0..][..ROW_BLOCK];
+                    let b = &other.data[s * n + j0..][..COL_BLOCK];
+                    for (acc_row, &a) in acc.iter_mut().zip(a) {
+                        for (o, &b) in acc_row.iter_mut().zip(b) {
+                            *o += a * b;
+                        }
+                    }
                 }
-            }
-        });
+                acc
+            },
+            |i, j0, out_row| {
+                out_row.fill(0.0);
+                for s in 0..s_dim {
+                    let a = self.data[s * m + i];
+                    for (o, &b) in out_row.iter_mut().zip(&other.row(s)[j0..]) {
+                        *o += a * b;
+                    }
+                }
+            },
+        );
     }
 
     /// Adds `row` to every row of the matrix in place (bias broadcast),
@@ -417,12 +507,23 @@ impl Matrix {
     /// the rows in ascending order.
     pub fn column_sums(&self) -> Vec<f64> {
         let mut sums = vec![0.0; self.cols];
-        for r in 0..self.rows {
-            for (s, &x) in sums.iter_mut().zip(self.row(r)) {
+        self.column_sums_into(&mut sums);
+        sums
+    }
+
+    /// [`Matrix::column_sums`] into a caller-owned slice (overwritten).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sums.len() != self.cols()`.
+    pub fn column_sums_into(&self, sums: &mut [f64]) {
+        assert_eq!(sums.len(), self.cols, "column_sums output length mismatch");
+        sums.fill(0.0);
+        for row in self.data.chunks_exact(self.cols) {
+            for (s, &x) in sums.iter_mut().zip(row) {
                 *s += x;
             }
         }
-        sums
     }
 
     /// Like [`Matrix::par_rows_mut_cost`] but hands each task a whole band
@@ -594,6 +695,45 @@ impl Mul for &Matrix {
                 .collect(),
         }
     }
+}
+
+/// The loop nest the three products share. Shards `out` into bands of
+/// whole `ROW_BLOCK`-row quads over `minipar` (`work_per_row` sizes the
+/// bands), stores `tile(i0, j0)` for every whole `ROW_BLOCK × COL_BLOCK`
+/// tile of a full quad, and hands the rest of each row — the columns past
+/// the last whole tile, or every column of a short final quad — to
+/// `rest(i, j0, &mut out[i][j0..])`. Each output element is computed by
+/// exactly one call, so its value never depends on the banding.
+fn tiled_product_into(
+    out: &mut Matrix,
+    work_per_row: usize,
+    tile: impl Fn(usize, usize) -> [[f64; COL_BLOCK]; ROW_BLOCK] + Sync,
+    rest: impl Fn(usize, usize, &mut [f64]) + Sync,
+) {
+    let (rows, n) = (out.rows, out.cols);
+    let bands = band_count(rows, work_per_row);
+    let band_rows = rows.div_ceil(bands).div_ceil(ROW_BLOCK) * ROW_BLOCK;
+    let tiled_cols = n - n % COL_BLOCK;
+    out.par_rows_band_mut(band_rows, |r0, band| {
+        for (qi, quad) in band.chunks_mut(ROW_BLOCK * n).enumerate() {
+            let i0 = r0 + qi * ROW_BLOCK;
+            let full_quad = quad.len() == ROW_BLOCK * n;
+            if full_quad {
+                for j0 in (0..tiled_cols).step_by(COL_BLOCK) {
+                    let acc = tile(i0, j0);
+                    for (out_row, acc_row) in quad.chunks_exact_mut(n).zip(&acc) {
+                        out_row[j0..j0 + COL_BLOCK].copy_from_slice(acc_row);
+                    }
+                }
+            }
+            let j0 = if full_quad { tiled_cols } else { 0 };
+            if j0 < n {
+                for (i, out_row) in quad.chunks_exact_mut(n).enumerate() {
+                    rest(i0 + i, j0, &mut out_row[j0..]);
+                }
+            }
+        }
+    });
 }
 
 /// Minimum estimated work (flop-ish units) a parallel band must carry
@@ -800,6 +940,48 @@ mod tests {
             row.matmul_transposed(&row)[(0, 0)],
             dot(row.row(0), row.row(0))
         );
+    }
+
+    #[test]
+    fn tiled_products_are_bit_identical_to_sequential_references() {
+        // Shapes with whole tiles plus leftover rows and columns.
+        for (m, k, n) in [(37, 23, 41), (8, 5, 4), (3, 7, 2), (13, 1, 9)] {
+            let a = probe(m, k, 11);
+            let b = probe(k, n, 12);
+            let seed: Vec<f64> = probe(1, n, 13).row(0).to_vec();
+            let mut seeded = Matrix::zeros(m, n);
+            a.matmul_seeded_into(&b, Some(&seed), &mut seeded);
+            let plain = a.matmul(&b);
+            let bt = b.transpose();
+            let at_b = a.transpose().transpose_matmul(&b);
+            let abt = a.matmul_transposed(&bt);
+            for r in 0..m {
+                for c in 0..n {
+                    let (mut s, mut z) = (seed[c], 0.0);
+                    for kk in 0..k {
+                        s += a[(r, kk)] * b[(kk, c)];
+                        z += a[(r, kk)] * b[(kk, c)];
+                    }
+                    assert_eq!(seeded[(r, c)].to_bits(), s.to_bits(), "seeded ({r},{c})");
+                    assert_eq!(plain[(r, c)].to_bits(), z.to_bits(), "matmul ({r},{c})");
+                    assert_eq!(
+                        at_b[(r, c)].to_bits(),
+                        z.to_bits(),
+                        "transpose_matmul ({r},{c})"
+                    );
+                    let d = dot(a.row(r), bt.row(c));
+                    assert_eq!(
+                        abt[(r, c)].to_bits(),
+                        d.to_bits(),
+                        "matmul_transposed ({r},{c})"
+                    );
+                }
+            }
+        }
+        // An all-negative-zero dot keeps `dot`'s sign of zero.
+        let neg = Matrix::from_vec(4, 4, vec![-0.0; 16]);
+        let ones = Matrix::from_vec(4, 4, vec![1.0; 16]);
+        assert!(neg.matmul_transposed(&ones)[(0, 0)].is_sign_negative());
     }
 
     #[test]

@@ -19,10 +19,28 @@
 //! backward pass one `Dᵀ · X` [`Matrix::transpose_matmul`] for the weight
 //! gradient and one `D · W` [`Matrix::matmul`] for the input gradient — all
 //! running on the blocked, `minipar`-sharded kernels of [`crate::matrix`].
-//! Activations and deltas live in preallocated [`Matrix`] workspaces that
-//! are reused across every batch of an epoch. Weight-gradient reductions
-//! accumulate the batch dimension in ascending sample order, so training is
-//! deterministic under a seed and bit-identical at any `NVD_JOBS` setting.
+//!
+//! A convolution runs on the same kernels through an im2col matrix `X_col`
+//! of the batch, one row per `(sample, position)` and one column per
+//! `(channel, tap)`:
+//!
+//! * **forward** — `X_col · Wᵀ` by [`Matrix::matmul_seeded_into`], each
+//!   accumulator seeded with its filter's bias, so every output sums
+//!   `bias + Σ w·x` in ascending tap order exactly like a per-position dot
+//!   product, vectorised over filters;
+//! * **weight and bias gradients** — the deltas permuted position-major
+//!   (`D_pm`), then `D_pmᵀ · X_col` by [`Matrix::transpose_matmul`] and the
+//!   column sums of `D_pm`, both reducing `(sample, position)` ascending;
+//! * **input gradient** — `Σ_f Σ_p d[f, p] · W[f, c, q − p]` per input
+//!   element in one register accumulator, vectorised over channels (the
+//!   first layer skips it: nothing reads it).
+//!
+//! Each element therefore reduces in the order the per-sample loops used,
+//! and the results are bit-identical to them. Activations, deltas and all
+//! conv scratch live in preallocated workspaces that are reused across
+//! every batch of an epoch, so training allocates nothing per batch.
+//! Every reduction runs in one fixed order, so training is deterministic
+//! under a seed and bit-identical at any `NVD_JOBS` setting.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -138,45 +156,48 @@ impl Layer {
     }
 
     /// Forward pass over a whole minibatch: `input` is `batch × in_size`,
-    /// `output` (overwritten) is `batch × out_size`.
-    fn forward_batch(&self, input: &Matrix, output: &mut Matrix) {
+    /// `output` (overwritten) is `batch × out_size`. Convolutions need
+    /// their [`ConvScratch`]; dense layers take `None`.
+    fn forward_batch(
+        &self,
+        input: &Matrix,
+        output: &mut Matrix,
+        scratch: Option<&mut ConvScratch>,
+    ) {
+        let act = self.activation;
         match self.kind {
             LayerKind::Dense { .. } => {
                 input.matmul_transposed_into(&self.weights, output);
                 output.add_broadcast(&self.biases);
-                let act = self.activation;
                 output.map_in_place(|x| act.apply(x));
             }
-            LayerKind::Conv1d { .. } => {
-                // Rows are independent samples; the row-band sharding makes
-                // this the conv analogue of the dense matmul path.
-                output.par_rows_mut(|s, out_row| {
-                    self.conv_forward_row(input.row(s), out_row);
-                });
-            }
-        }
-    }
-
-    /// One sample's convolution forward pass on raw slices.
-    fn conv_forward_row(&self, input: &[f64], output: &mut [f64]) {
-        let LayerKind::Conv1d { filters, kernel } = self.kind else {
-            unreachable!("conv kernel on a dense layer");
-        };
-        let (c_in, l_in) = self.in_shape;
-        let l_out = self.out_shape.1;
-        debug_assert_eq!(input.len(), c_in * l_in);
-        for f in 0..filters {
-            let w_row = self.weights.row(f);
-            for p in 0..l_out {
-                let mut acc = self.biases[f];
-                for c in 0..c_in {
-                    let w = &w_row[c * kernel..(c + 1) * kernel];
-                    let x = &input[c * l_in + p..][..kernel];
-                    for (wi, xi) in w.iter().zip(x) {
-                        acc += wi * xi;
+            LayerKind::Conv1d { kernel, .. } => {
+                let sc = scratch.expect("conv layer needs its scratch");
+                let l_in = self.in_shape.1;
+                let l_out = self.out_shape.1;
+                // im2col: row `s·l_out + p`, column `c·k + j` holds
+                // `x[s, c, p + j]`, the tap weight `W[f, c·k + j]` meets.
+                sc.x_col.par_rows_mut(|r, col_row| {
+                    let x = &input.row(r / l_out)[r % l_out..];
+                    for (c, taps) in col_row.chunks_exact_mut(kernel).enumerate() {
+                        taps.copy_from_slice(&x[c * l_in..][..kernel]);
                     }
-                }
-                output[f * l_out + p] = self.activation.apply(acc);
+                });
+                // `bias[f] + Σ_col W[f, col]·x_col[col]` in ascending column
+                // order, the accumulator seeded by the bias — the exact
+                // float stream of a per-position dot product.
+                self.weights.transpose_into(&mut sc.w_t);
+                sc.x_col
+                    .matmul_seeded_into(&sc.w_t, Some(&self.biases), &mut sc.pm);
+                // Back to channel-major rows (`f·l_out + p`), activated.
+                let pm = &sc.pm;
+                output.par_rows_mut(|s, out_row| {
+                    for p in 0..l_out {
+                        for (f, &z) in pm.row(s * l_out + p).iter().enumerate() {
+                            out_row[f * l_out + p] = act.apply(z);
+                        }
+                    }
+                });
             }
         }
     }
@@ -184,19 +205,22 @@ impl Layer {
     /// Backpropagates a whole minibatch.
     ///
     /// On entry `delta` holds ∂L/∂(activated output); this routine folds the
-    /// activation derivative in place, then overwrites `grad_w`/`grad_b`
-    /// with the batch-summed parameter gradients and `grad_in` with
-    /// ∂L/∂input. The weight-gradient reduction runs over samples in
-    /// ascending order (one `transpose_matmul` for dense layers), keeping
-    /// the float stream independent of the job count.
+    /// activation derivative in place, then overwrites `grad` with the
+    /// batch-summed parameter gradients and, when given, `grad_in` with
+    /// ∂L/∂input (the first layer passes `None`: nothing reads it).
+    ///
+    /// Every gradient element reduces in one fixed order — weight and bias
+    /// gradients over `(sample, position)` ascending, conv input gradients
+    /// over `(filter, position)` ascending — so the float stream is
+    /// independent of the job count.
     fn backward_batch(
         &self,
         input: &Matrix,
         output: &Matrix,
         delta: &mut Matrix,
-        grad_in: &mut Matrix,
-        grad_w: &mut Matrix,
-        grad_b: &mut [f64],
+        grad_in: Option<&mut Matrix>,
+        grad: &mut LayerGrad,
+        scratch: Option<&mut ConvScratch>,
     ) {
         // δ ← δ ⊙ act'(out), elementwise per row.
         let act = self.activation;
@@ -207,47 +231,127 @@ impl Layer {
         });
         match self.kind {
             LayerKind::Dense { .. } => {
-                grad_b.copy_from_slice(&delta.column_sums());
-                delta.transpose_matmul_into(input, grad_w);
-                delta.matmul_into(&self.weights, grad_in);
+                delta.column_sums_into(&mut grad.b);
+                delta.transpose_matmul_into(input, &mut grad.w);
+                if let Some(grad_in) = grad_in {
+                    delta.matmul_into(&self.weights, grad_in);
+                }
             }
             LayerKind::Conv1d { filters, kernel } => {
+                let sc = scratch.expect("conv layer needs its scratch");
                 let (c_in, l_in) = self.in_shape;
                 let l_out = self.out_shape.1;
-                grad_w.as_mut_slice().fill(0.0);
-                grad_b.fill(0.0);
-                // Parameter gradients accumulate serially in ascending
-                // sample order, which keeps every weight and bias
-                // reduction in one fixed order and so bit-identical at any
-                // `NVD_JOBS` (this loop, not the dense layers, dominates
-                // CNN training time); input gradients are per-row.
-                for s in 0..delta.rows() {
-                    let d_row = delta.row(s);
-                    let x_row = input.row(s);
-                    let gi_row = grad_in.row_mut(s);
-                    gi_row.fill(0.0);
-                    for f in 0..filters {
-                        let w_row = self.weights.row(f);
-                        let gw_row = grad_w.row_mut(f);
-                        for p in 0..l_out {
-                            let d = d_row[f * l_out + p];
-                            if d == 0.0 {
-                                continue;
-                            }
-                            grad_b[f] += d;
-                            for c in 0..c_in {
-                                let base_w = c * kernel;
-                                let base_x = c * l_in + p;
-                                for j in 0..kernel {
-                                    gw_row[base_w + j] += d * x_row[base_x + j];
-                                    gi_row[base_x + j] += d * w_row[base_w + j];
-                                }
-                            }
+                // Position-major deltas `D_pm[s·l_out + p, f]`, so the
+                // parameter gradients are `grad_b = Σ_rows D_pm` and
+                // `grad_w = D_pmᵀ · X_col`, both reducing `(s, p)` ascending.
+                let delta = &*delta;
+                sc.pm.par_rows_mut(|r, pm_row| {
+                    let d = &delta.row(r / l_out)[r % l_out..];
+                    for (f, v) in pm_row.iter_mut().enumerate() {
+                        *v = d[f * l_out];
+                    }
+                });
+                sc.pm.column_sums_into(&mut grad.b);
+                sc.pm.transpose_matmul_into(&sc.x_col, &mut grad.w);
+                let Some(grad_in) = grad_in else {
+                    return;
+                };
+                let w_fjc = sc.w_fjc.as_mut().expect("input-gradient scratch");
+                // ∂L/∂x[s, c, q] = Σ_f Σ_p d[s, f, p] · W[f, c, q − p], summed
+                // `f` then `p` ascending, in a register accumulator over
+                // `C_LANES` channels (the permuted weights pad `c` with zero
+                // lanes, which are never stored).
+                let c_pad = w_fjc.cols();
+                for f in 0..filters {
+                    let w_row = self.weights.row(f);
+                    for j in 0..kernel {
+                        let w_fj = &mut w_fjc.row_mut(f * kernel + j)[..c_in];
+                        for (c, w) in w_fj.iter_mut().enumerate() {
+                            *w = w_row[c * kernel + j];
                         }
                     }
                 }
+                let w_fjc = w_fjc.as_slice();
+                let work = filters * l_out * kernel * c_in;
+                grad_in.par_rows_mut_cost(work, |s, gi_row| {
+                    let d_row = delta.row(s);
+                    for q in 0..l_in {
+                        let positions = q.saturating_sub(kernel - 1)..=q.min(l_out - 1);
+                        for c0 in (0..c_in).step_by(C_LANES) {
+                            let mut acc = [0.0; C_LANES];
+                            for f in 0..filters {
+                                let d_f = &d_row[f * l_out..][..l_out];
+                                for p in positions.clone() {
+                                    let d = d_f[p];
+                                    let w = &w_fjc[(f * kernel + q - p) * c_pad + c0..][..C_LANES];
+                                    for (a, &w) in acc.iter_mut().zip(w) {
+                                        *a += d * w;
+                                    }
+                                }
+                            }
+                            for (i, &a) in acc.iter().take(c_in - c0).enumerate() {
+                                gi_row[(c0 + i) * l_in + q] = a;
+                            }
+                        }
+                    }
+                });
             }
         }
+    }
+}
+
+/// Input channels per register accumulator in the conv input gradient.
+const C_LANES: usize = 8;
+
+/// One layer's batch-summed parameter gradients, shaped like its
+/// parameters.
+#[derive(Debug)]
+struct LayerGrad {
+    w: Matrix,
+    b: Vec<f64>,
+}
+
+impl LayerGrad {
+    fn new(layer: &Layer) -> Self {
+        Self {
+            w: Matrix::zeros(layer.weights.rows(), layer.weights.cols()),
+            b: vec![0.0; layer.biases.len()],
+        }
+    }
+}
+
+/// A convolution's per-batch scratch, sized once per batch length `B`.
+#[derive(Debug)]
+struct ConvScratch {
+    /// im2col of the layer input, `(B·l_out) × (c_in·k)`; kept from the
+    /// forward pass for the weight gradient.
+    x_col: Matrix,
+    /// Position-major `(B·l_out) × F`: pre-activations in the forward
+    /// pass, deltas in the backward pass.
+    pm: Matrix,
+    /// The weights transposed to `(c_in·k) × F` for the forward product.
+    w_t: Matrix,
+    /// The weights permuted to `(F·k) × c_pad` for the input gradient:
+    /// row `f·k + j` holds `W[f, c, j]` for every input channel `c`,
+    /// zero-padded to a multiple of [`C_LANES`]. `None` for inference and
+    /// for the first layer, whose input gradient nothing reads.
+    w_fjc: Option<Matrix>,
+}
+
+impl ConvScratch {
+    fn new(layer: &Layer, batch: usize, input_grad: bool) -> Option<Self> {
+        let LayerKind::Conv1d { filters, kernel } = layer.kind else {
+            return None;
+        };
+        let c_in = layer.in_shape.0;
+        let rows = batch * layer.out_shape.1;
+        Some(Self {
+            x_col: Matrix::zeros(rows, c_in * kernel),
+            pm: Matrix::zeros(rows, filters),
+            w_t: Matrix::zeros(c_in * kernel, filters),
+            w_fjc: input_grad
+                .then(|| Matrix::zeros(filters * kernel, c_in.next_multiple_of(C_LANES))),
+        })
     }
 }
 
@@ -376,23 +480,61 @@ impl AdamState {
 }
 
 /// Preallocated per-batch matrices: `acts[0]` is the gathered input batch,
-/// `acts[i + 1]` the activations of layer `i`; `deltas` mirrors `acts`
-/// (`deltas[i + 1]` holds ∂L/∂(activated output of layer `i`), `deltas[0]`
-/// receives the unused input gradient). One workspace exists per distinct
-/// batch length — at most two per fit (full batches plus the tail).
+/// `acts[i + 1]` the activations of layer `i`, `deltas[i]` holds
+/// ∂L/∂(activated output of layer `i`), and `conv[i]` is layer `i`'s
+/// [`ConvScratch`] when it is a convolution. One workspace exists per
+/// distinct batch length — at most two per fit (full batches plus the
+/// tail), so training allocates nothing per batch.
 #[derive(Debug)]
 struct Workspace {
     acts: Vec<Matrix>,
     deltas: Vec<Matrix>,
+    conv: Vec<Option<ConvScratch>>,
 }
 
 impl Workspace {
-    fn new(layers: &[Layer], input_len: usize, batch: usize) -> Self {
-        let mut sizes = vec![input_len];
-        sizes.extend(layers.iter().map(Layer::out_size));
-        Self {
-            acts: sizes.iter().map(|&s| Matrix::zeros(batch, s)).collect(),
-            deltas: sizes.iter().map(|&s| Matrix::zeros(batch, s)).collect(),
+    /// A workspace for `batch` rows; `training` adds the deltas and the
+    /// backward-pass scratch that inference never touches.
+    fn new(layers: &[Layer], input_len: usize, batch: usize, training: bool) -> Self {
+        let mut acts = vec![Matrix::zeros(batch, input_len)];
+        acts.extend(layers.iter().map(|l| Matrix::zeros(batch, l.out_size())));
+        let deltas = if training {
+            acts[1..]
+                .iter()
+                .map(|a| Matrix::zeros(batch, a.cols()))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let conv = layers
+            .iter()
+            .enumerate()
+            .map(|(li, l)| ConvScratch::new(l, batch, training && li > 0))
+            .collect();
+        Self { acts, deltas, conv }
+    }
+
+    /// Runs every layer forward over the batch gathered in `acts[0]`.
+    fn forward(&mut self, layers: &[Layer]) {
+        for (li, layer) in layers.iter().enumerate() {
+            let (head, tail) = self.acts.split_at_mut(li + 1);
+            layer.forward_batch(&head[li], &mut tail[0], self.conv[li].as_mut());
+        }
+    }
+
+    /// Backpropagates the output deltas (seeded by the caller into the
+    /// last `deltas` matrix) through every layer into `grads`.
+    fn backward(&mut self, layers: &[Layer], grads: &mut [LayerGrad]) {
+        for li in (0..layers.len()).rev() {
+            let (d_head, d_tail) = self.deltas.split_at_mut(li);
+            layers[li].backward_batch(
+                &self.acts[li],
+                &self.acts[li + 1],
+                &mut d_tail[0],
+                d_head.last_mut(),
+                &mut grads[li],
+                self.conv[li].as_mut(),
+            );
         }
     }
 }
@@ -407,8 +549,10 @@ pub struct Network {
 /// Rows per inference chunk in [`Network::forward`] — bounds workspace
 /// memory when predicting over very large populations (the ≈74K-CVE
 /// backport sweep) while keeping each chunk large enough for the matrix
-/// kernels to amortise.
-const PREDICT_CHUNK: usize = 512;
+/// kernels to amortise (a chunk is `64 · l_out` rows in a conv layer's
+/// product). A conv layer's im2col scratch holds `l_out · c_in · k` values
+/// per row, several times its activations, so chunks stay small.
+const PREDICT_CHUNK: usize = 64;
 
 impl Network {
     /// Expected input feature count.
@@ -439,39 +583,25 @@ impl Network {
     /// Panics if `x.cols() != input_len()`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.input_len(), "input width mismatch");
-        let out_len = self.output_len();
-        let mut out = Matrix::zeros(x.rows(), out_len);
-        // Activation matrices only (inference needs no deltas), allocated
-        // once per distinct chunk length: the full-size set is reused for
-        // every chunk but the possibly-shorter tail.
-        let acts_for = |len: usize| -> Vec<Matrix> {
-            let mut sizes = vec![self.input_len()];
-            sizes.extend(self.layers.iter().map(Layer::out_size));
-            sizes.into_iter().map(|s| Matrix::zeros(len, s)).collect()
-        };
-        let mut acts_full: Option<Vec<Matrix>> = None;
-        let mut start = 0;
-        while start < x.rows() {
+        let mut out = Matrix::zeros(x.rows(), self.output_len());
+        // One inference workspace per distinct chunk length: every chunk
+        // but a shorter tail reuses the first, and the tail's replaces it.
+        let mut ws: Option<Workspace> = None;
+        for start in (0..x.rows()).step_by(PREDICT_CHUNK) {
             let len = PREDICT_CHUNK.min(x.rows() - start);
-            let mut acts_tail;
-            let acts = if len == PREDICT_CHUNK.min(x.rows()) {
-                acts_full.get_or_insert_with(|| acts_for(len))
-            } else {
-                acts_tail = acts_for(len);
-                &mut acts_tail
-            };
+            if ws.as_ref().is_none_or(|w| w.acts[0].rows() != len) {
+                drop(ws.take());
+                ws = Some(Workspace::new(&self.layers, self.input_len(), len, false));
+            }
+            let ws = ws.as_mut().expect("workspace sized above");
             for bi in 0..len {
-                acts[0].row_mut(bi).copy_from_slice(x.row(start + bi));
+                ws.acts[0].row_mut(bi).copy_from_slice(x.row(start + bi));
             }
-            for (li, layer) in self.layers.iter().enumerate() {
-                let (head, tail) = acts.split_at_mut(li + 1);
-                layer.forward_batch(&head[li], &mut tail[0]);
-            }
+            ws.forward(&self.layers);
             for bi in 0..len {
                 out.row_mut(start + bi)
-                    .copy_from_slice(acts[self.layers.len()].row(bi));
+                    .copy_from_slice(ws.acts[self.layers.len()].row(bi));
             }
-            start += len;
         }
         out
     }
@@ -483,8 +613,9 @@ impl Network {
         (0..out.rows()).map(|r| out.row(r)[0]).collect()
     }
 
-    /// Trains with minibatch Adam on the MSE loss; returns per-epoch mean
-    /// training loss.
+    /// Trains with minibatch Adam on the MSE loss; returns each epoch's
+    /// mean squared error per training sample (`Σ e² / n`, summed over
+    /// output units), measured on the forward passes the updates used.
     ///
     /// Targets are rows of `y` (use a 1-column matrix for scalar
     /// regression).
@@ -513,23 +644,15 @@ impl Network {
             .map(|l| AdamState::sized(l.biases.len()))
             .collect();
 
-        let mut grad_w: Vec<Matrix> = self
-            .layers
-            .iter()
-            .map(|l| Matrix::zeros(l.weights.rows(), l.weights.cols()))
-            .collect();
-        let mut grad_b: Vec<Vec<f64>> = self
-            .layers
-            .iter()
-            .map(|l| vec![0.0; l.biases.len()])
-            .collect();
+        let mut grads: Vec<LayerGrad> = self.layers.iter().map(LayerGrad::new).collect();
 
         // Preallocated activation/delta workspaces: one for full batches,
         // one (lazily sized) for the shorter tail batch.
         let full = cfg.batch_size.max(1).min(n);
-        let mut ws_full = Workspace::new(&self.layers, self.input_len(), full);
+        let mut ws_full = Workspace::new(&self.layers, self.input_len(), full, true);
         let tail = n % full;
-        let mut ws_tail = (tail != 0).then(|| Workspace::new(&self.layers, self.input_len(), tail));
+        let mut ws_tail =
+            (tail != 0).then(|| Workspace::new(&self.layers, self.input_len(), tail, true));
 
         let mut order: Vec<usize> = (0..n).collect();
         let mut step = 0.0f64;
@@ -540,7 +663,7 @@ impl Network {
                 let j = rng.gen_range(0..=i);
                 order.swap(i, j);
             }
-            let mut epoch_loss = 0.0;
+            let mut squared_error = 0.0;
             for batch in order.chunks(full) {
                 let ws = if batch.len() == full {
                     &mut ws_full
@@ -551,47 +674,34 @@ impl Network {
                 for (bi, &s) in batch.iter().enumerate() {
                     ws.acts[0].row_mut(bi).copy_from_slice(x.row(s));
                 }
-                // Forward through every layer.
-                for (li, layer) in self.layers.iter().enumerate() {
-                    let (head, tail) = ws.acts.split_at_mut(li + 1);
-                    layer.forward_batch(&head[li], &mut tail[0]);
-                }
+                ws.forward(&self.layers);
                 // MSE gradient at the output (ascending batch order).
                 let scale = 1.0 / batch.len() as f64;
                 let out_act = &ws.acts[n_layers];
-                let delta_out = &mut ws.deltas[n_layers];
+                let delta_out = &mut ws.deltas[n_layers - 1];
                 for (bi, &s) in batch.iter().enumerate() {
                     let d_row = delta_out.row_mut(bi);
                     for ((d, &o), &t) in d_row.iter_mut().zip(out_act.row(bi)).zip(y.row(s)) {
                         let e = o - t;
-                        epoch_loss += e * e * scale;
+                        squared_error += e * e;
                         *d = 2.0 * e * scale;
                     }
                 }
-                // Backward through every layer.
-                for li in (0..n_layers).rev() {
-                    let (d_head, d_tail) = ws.deltas.split_at_mut(li + 1);
-                    self.layers[li].backward_batch(
-                        &ws.acts[li],
-                        &ws.acts[li + 1],
-                        &mut d_tail[0],
-                        &mut d_head[li],
-                        &mut grad_w[li],
-                        &mut grad_b[li],
-                    );
-                }
+                ws.backward(&self.layers, &mut grads);
                 step += 1.0;
                 for (li, layer) in self.layers.iter_mut().enumerate() {
                     adam_w[li].update(
                         layer.weights.as_mut_slice(),
-                        grad_w[li].as_slice(),
+                        grads[li].w.as_slice(),
                         cfg,
                         step,
                     );
-                    adam_b[li].update(&mut layer.biases, &grad_b[li], cfg, step);
+                    adam_b[li].update(&mut layer.biases, &grads[li].b, cfg, step);
                 }
             }
-            epoch_losses.push(epoch_loss / (n as f64 / full as f64).max(1.0));
+            // Per-sample MSE over the epoch: every sample counts once, so
+            // a short tail batch weighs no more than its rows.
+            epoch_losses.push(squared_error / n as f64);
         }
         epoch_losses
     }
@@ -749,16 +859,18 @@ mod tests {
         assert!(losses.last().unwrap() < &(losses[0] * 0.5));
     }
 
-    /// Numerical gradient check on a tiny conv+dense network, through the
-    /// batched backward path (a 2-sample batch exercises the batch-summed
-    /// reductions).
+    /// Numerical gradient check on a tiny conv+conv+dense network, through
+    /// the batched backward path (a 2-sample batch exercises the
+    /// batch-summed reductions; the second conv layer exercises the conv
+    /// input gradient).
     #[test]
     fn analytic_gradients_match_numerical() {
-        let x = Matrix::from_rows(&[&[0.3, -0.2, 0.8, 0.1], &[-0.5, 0.4, 0.2, 0.9]]);
+        let x = Matrix::from_rows(&[&[0.3, -0.2, 0.8, 0.1, 0.6], &[-0.5, 0.4, 0.2, 0.9, -0.7]]);
         let y = Matrix::from_vec(2, 1, vec![0.7, 0.2]);
         let build = || {
-            NetworkBuilder::input_1d(4)
+            NetworkBuilder::input_1d(5)
                 .conv1d(2, 3, Activation::Sigmoid)
+                .conv1d(3, 2, Activation::Sigmoid)
                 .dense(3, Activation::Sigmoid)
                 .dense(1, Activation::Linear)
                 .build(17)
@@ -774,40 +886,18 @@ mod tests {
 
         let net = build();
         let n_layers = net.layers.len();
-        let mut ws = Workspace::new(&net.layers, net.input_len(), x.rows());
+        let mut ws = Workspace::new(&net.layers, net.input_len(), x.rows(), true);
         for s in 0..x.rows() {
             ws.acts[0].row_mut(s).copy_from_slice(x.row(s));
         }
-        for (li, layer) in net.layers.iter().enumerate() {
-            let (head, tail) = ws.acts.split_at_mut(li + 1);
-            layer.forward_batch(&head[li], &mut tail[0]);
-        }
+        ws.forward(&net.layers);
         let scale = 1.0 / x.rows() as f64;
         for s in 0..x.rows() {
-            ws.deltas[n_layers].row_mut(s)[0] =
+            ws.deltas[n_layers - 1].row_mut(s)[0] =
                 2.0 * (ws.acts[n_layers].row(s)[0] - y[(s, 0)]) * scale;
         }
-        let mut grad_w: Vec<Matrix> = net
-            .layers
-            .iter()
-            .map(|l| Matrix::zeros(l.weights.rows(), l.weights.cols()))
-            .collect();
-        let mut grad_b: Vec<Vec<f64>> = net
-            .layers
-            .iter()
-            .map(|l| vec![0.0; l.biases.len()])
-            .collect();
-        for li in (0..n_layers).rev() {
-            let (d_head, d_tail) = ws.deltas.split_at_mut(li + 1);
-            net.layers[li].backward_batch(
-                &ws.acts[li],
-                &ws.acts[li + 1],
-                &mut d_tail[0],
-                &mut d_head[li],
-                &mut grad_w[li],
-                &mut grad_b[li],
-            );
-        }
+        let mut grads: Vec<LayerGrad> = net.layers.iter().map(LayerGrad::new).collect();
+        ws.backward(&net.layers, &mut grads);
 
         // Compare against central differences for a sample of weights.
         let eps = 1e-6;
@@ -818,11 +908,220 @@ mod tests {
                 let mut minus = net.clone();
                 minus.layers[li].weights.as_mut_slice()[wi] -= eps;
                 let num = (loss_of(&plus) - loss_of(&minus)) / (2.0 * eps);
-                let ana = grad_w[li].as_slice()[wi];
+                let ana = grads[li].w.as_slice()[wi];
                 assert!(
                     (num - ana).abs() < 1e-5 * (1.0 + num.abs().max(ana.abs())),
                     "layer {li} w{wi}: numerical {num} vs analytic {ana}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn fit_returns_per_sample_mse() {
+        // 100 rows in batches of 32 leave a 4-row tail; with a zero
+        // learning rate the weights never move, so every epoch's loss is
+        // the MSE of the untrained forward pass.
+        let rows: Vec<Vec<f64>> = (0..100)
+            .map(|i| {
+                (0..6)
+                    .map(|j| ((i * 7 + j * 13) % 10) as f64 / 10.0)
+                    .collect()
+            })
+            .collect();
+        let x = Matrix::from_vectors(&rows);
+        let y: Vec<f64> = (0..100).map(|i| (i % 9) as f64 / 9.0).collect();
+        let mut net = NetworkBuilder::input_1d(6)
+            .conv1d(4, 3, Activation::Relu)
+            .dense(8, Activation::Relu)
+            .dense(1, Activation::Sigmoid)
+            .build(4);
+        let pred = net.predict(&x);
+        let mse = pred
+            .iter()
+            .zip(&y)
+            .map(|(p, t)| (p - t) * (p - t))
+            .sum::<f64>()
+            / 100.0;
+        let cfg = TrainConfig {
+            epochs: 2,
+            batch_size: 32,
+            learning_rate: 0.0,
+            ..TrainConfig::default()
+        };
+        for loss in net.fit_scalar(&x, &y, &cfg) {
+            assert!(
+                (loss - mse).abs() <= 1e-12 * mse,
+                "epoch loss {loss} vs forward MSE {mse}"
+            );
+        }
+    }
+
+    /// The per-sample conv forward pass the batched kernel replaced,
+    /// frozen as the parity reference.
+    fn reference_conv_forward(layer: &Layer, input: &Matrix) -> Matrix {
+        let LayerKind::Conv1d { filters, kernel } = layer.kind else {
+            unreachable!("conv reference on a dense layer");
+        };
+        let (c_in, l_in) = layer.in_shape;
+        let l_out = layer.out_shape.1;
+        let mut out = Matrix::zeros(input.rows(), layer.out_size());
+        for s in 0..input.rows() {
+            let x_row = input.row(s);
+            let out_row = out.row_mut(s);
+            for f in 0..filters {
+                let w_row = layer.weights.row(f);
+                for p in 0..l_out {
+                    let mut acc = layer.biases[f];
+                    for c in 0..c_in {
+                        let w = &w_row[c * kernel..(c + 1) * kernel];
+                        let x = &x_row[c * l_in + p..][..kernel];
+                        for (wi, xi) in w.iter().zip(x) {
+                            acc += wi * xi;
+                        }
+                    }
+                    out_row[f * l_out + p] = layer.activation.apply(acc);
+                }
+            }
+        }
+        out
+    }
+
+    /// The per-sample conv backward pass the batched kernels replaced
+    /// (zero-delta skips included), on an already-folded `delta`:
+    /// returns `(grad_w, grad_b, grad_in)`.
+    fn reference_conv_backward(
+        layer: &Layer,
+        input: &Matrix,
+        delta: &Matrix,
+    ) -> (Matrix, Vec<f64>, Matrix) {
+        let LayerKind::Conv1d { filters, kernel } = layer.kind else {
+            unreachable!("conv reference on a dense layer");
+        };
+        let (c_in, l_in) = layer.in_shape;
+        let l_out = layer.out_shape.1;
+        let mut grad_w = Matrix::zeros(layer.weights.rows(), layer.weights.cols());
+        let mut grad_b = vec![0.0; filters];
+        let mut grad_in = Matrix::zeros(input.rows(), input.cols());
+        for s in 0..delta.rows() {
+            let d_row = delta.row(s);
+            let x_row = input.row(s);
+            let gi_row = grad_in.row_mut(s);
+            for f in 0..filters {
+                let w_row = layer.weights.row(f);
+                let gw_row = grad_w.row_mut(f);
+                for p in 0..l_out {
+                    let d = d_row[f * l_out + p];
+                    if d == 0.0 {
+                        continue;
+                    }
+                    grad_b[f] += d;
+                    for c in 0..c_in {
+                        let base_w = c * kernel;
+                        let base_x = c * l_in + p;
+                        for j in 0..kernel {
+                            gw_row[base_w + j] += d * x_row[base_x + j];
+                            gi_row[base_x + j] += d * w_row[base_w + j];
+                        }
+                    }
+                }
+            }
+        }
+        (grad_w, grad_b, grad_in)
+    }
+
+    fn assert_bits_eq(what: &str, new: &[f64], reference: &[f64]) {
+        assert_eq!(new.len(), reference.len(), "{what}: length");
+        for (i, (a, b)) in new.iter().zip(reference).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{what}[{i}]: {a} vs reference {b}"
+            );
+        }
+    }
+
+    /// Deterministic values in [-1, 1) with exact zeros (and a negative
+    /// zero) sprinkled in.
+    fn probe_values(n: usize, salt: u64) -> Vec<f64> {
+        (0..n as u64)
+            .map(|i| match (i + salt) % 7 {
+                0 => 0.0,
+                3 if i % 2 == 0 => -0.0,
+                _ => {
+                    let z = (i ^ salt.rotate_left(17)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    ((z >> 11) % 2000) as f64 / 1000.0 - 1.0
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batched_conv_kernels_are_bit_identical_to_per_sample_reference() {
+        let mut rng = StdRng::seed_from_u64(31);
+        for c_in in [1, 8, 16] {
+            for kernel in 1..=3 {
+                for l_in in [kernel, 13] {
+                    for filters in [3, 16] {
+                        let mut layer =
+                            Layer::conv1d((c_in, l_in), filters, kernel, Activation::Relu);
+                        layer.init(&mut rng);
+                        layer.biases = probe_values(filters, 5);
+                        for batch in [1, 5, 32] {
+                            let shape =
+                                format!("c_in {c_in} k {kernel} l_in {l_in} F {filters} B {batch}");
+                            let input = Matrix::from_vec(
+                                batch,
+                                c_in * l_in,
+                                probe_values(batch * c_in * l_in, 1),
+                            );
+                            let delta_in = Matrix::from_vec(
+                                batch,
+                                layer.out_size(),
+                                probe_values(batch * layer.out_size(), 2),
+                            );
+                            let want_out = reference_conv_forward(&layer, &input);
+                            for jobs in [1, 4] {
+                                minipar::with_jobs(jobs, || {
+                                    let mut scratch = ConvScratch::new(&layer, batch, true);
+                                    let mut out = Matrix::zeros(batch, layer.out_size());
+                                    layer.forward_batch(&input, &mut out, scratch.as_mut());
+                                    assert_bits_eq(
+                                        &format!("{shape}: output"),
+                                        out.as_slice(),
+                                        want_out.as_slice(),
+                                    );
+
+                                    let mut delta = delta_in.clone();
+                                    let mut grad = LayerGrad::new(&layer);
+                                    let mut grad_in = Matrix::zeros(batch, c_in * l_in);
+                                    layer.backward_batch(
+                                        &input,
+                                        &out,
+                                        &mut delta,
+                                        Some(&mut grad_in),
+                                        &mut grad,
+                                        scratch.as_mut(),
+                                    );
+                                    // `delta` now holds the folded deltas both paths start from.
+                                    let (gw, gb, gi) =
+                                        reference_conv_backward(&layer, &input, &delta);
+                                    assert_bits_eq(
+                                        &format!("{shape}: grad_w"),
+                                        grad.w.as_slice(),
+                                        gw.as_slice(),
+                                    );
+                                    assert_bits_eq(&format!("{shape}: grad_b"), &grad.b, &gb);
+                                    assert_bits_eq(
+                                        &format!("{shape}: grad_in"),
+                                        grad_in.as_slice(),
+                                        gi.as_slice(),
+                                    );
+                                });
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -335,19 +335,21 @@ fn incremental_ingestion_is_bit_identical_across_job_counts() {
     assert_eq!(run(1), run(4), "delta replay diverged across job counts");
 }
 
-#[test]
-fn incremental_equals_batch_with_the_backport_on_at_any_job_count() {
-    // The §4.3 backport joins the batch == incremental contract: at every
-    // delta, the warm state equals batch-cleaning the accumulated corpus,
-    // under the inline path and a wide pool. The cheap LR/SVR models keep
-    // the whole-corpus retrain per delta affordable.
-    use nvd_clean::severity::ModelKind;
+/// Replays the base and the first `feeds` feeds of a scale-0.004 delta
+/// stream through one `CleanState` with the backport on (training only
+/// `kinds`), asserting at every delta that the warm state equals
+/// batch-cleaning the accumulated corpus — under the inline path and a
+/// wide pool, which must also agree with each other.
+fn assert_backport_incremental_equals_batch(
+    kinds: &'static [nvd_clean::severity::ModelKind],
+    feeds: usize,
+) {
     use nvd_clean::{BackportOptions, CleanOptions, CleanState};
     use nvd_synth::delta::generate_delta_stream;
     let options = CleanOptions {
         run_backport: true,
         backport: BackportOptions {
-            kinds: &[ModelKind::Lr, ModelKind::Svr],
+            kinds,
             ..BackportOptions::default()
         },
         ..CleanOptions::default()
@@ -356,7 +358,7 @@ fn incremental_equals_batch_with_the_backport_on_at_any_job_count() {
     let oracle = OracleVerifier::new(stream.corpus.truth.vendor_alias_map());
     let archive = &stream.corpus.archive;
     let mut steps: Vec<Vec<CveEntry>> = vec![stream.base.iter().cloned().collect()];
-    steps.extend(stream.feeds.iter().map(|f| f.entries()));
+    steps.extend(stream.feeds.iter().take(feeds).map(|f| f.entries()));
     let run = |jobs: usize| {
         minipar::with_jobs(jobs, || {
             let mut state = CleanState::new(options.clone());
@@ -400,6 +402,22 @@ fn incremental_equals_batch_with_the_backport_on_at_any_job_count() {
         assert_eq!(a.1, b.1, "report diverged across jobs at delta {i}");
         assert_eq!(a.2, b.2, "ledger diverged across jobs at delta {i}");
     }
+}
+
+#[test]
+fn incremental_equals_batch_with_the_backport_on_at_any_job_count() {
+    // The §4.3 backport joins the batch == incremental contract. The cheap
+    // LR/SVR models keep the whole-corpus retrain per delta affordable.
+    use nvd_clean::severity::ModelKind;
+    assert_backport_incremental_equals_batch(&[ModelKind::Lr, ModelKind::Svr], 3);
+}
+
+#[test]
+fn cnn_backport_incremental_equals_batch_at_any_job_count() {
+    // The CNN runs the batched conv kernels: one tiny-scale case over the
+    // base and two feeds keeps their float stream under the contract.
+    use nvd_clean::severity::ModelKind;
+    assert_backport_incremental_equals_batch(&[ModelKind::Cnn], 2);
 }
 
 #[test]
